@@ -94,6 +94,18 @@ class TestCli:
         report = last_json(capsys)
         assert report["valid"] is False and report["violations"]
 
+    def test_validate_td_rejects_unknown_bag_vertices(self, workdir, capsys, tmp_path):
+        g = Graph.from_edges([1, 2], [(1, 2)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        td = write(tmp_path / "bad.td", "s td 2 3 2\nb 1 1 2\nb 2 2 98 99\n1 2\n")
+        assert main(["validate-td", "--graph", gfile, "--td", td]) == 1
+        report = last_json(capsys)
+        assert report["valid"] is False
+        assert report["violations"] == [
+            {"axiom": "unknown-vertex", "witness": "98"},
+            {"axiom": "unknown-vertex", "witness": "99"},
+        ]
+
     def test_suite_exit_codes(self, workdir, capsys, tmp_path):
         report = tmp_path / "suite.json"
         assert main(["suite", "--count", "4", "--seed", "3", "--max-n", "12",

@@ -7,6 +7,8 @@ from kpath_kernel.errors import InputError, NotApplicableError
 from kpath_kernel.graphs import Graph
 from kpath_kernel.treedecomp import (
     TreeDecomposition,
+    Violation,
+    _min_fill_order,
     binarize,
     check_unbreakable,
     compute_decomposition,
@@ -69,6 +71,57 @@ def naive_axiom_check(td):
     return True
 
 
+def naive_min_fill_order(g):
+    """Reference min-fill: rescan every remaining vertex at every step and
+    take the least (fill, degree, id)."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+
+    def key(v):
+        nb = sorted(adj[v])
+        fill = sum(1 for a, b in itertools.combinations(nb, 2) if b not in adj[a])
+        return (fill, len(nb), v)
+
+    order = []
+    while adj:
+        v = min(adj, key=key)
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a].discard(v)
+        for a, b in itertools.combinations(nb, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        order.append(v)
+    return order
+
+
+def disjoint_union(*graphs):
+    g = Graph()
+    for h in graphs:
+        ids = {v: g.add_vertex() for v in sorted(h.vertices)}
+        for a, b in h.edges():
+            g.add_edge(ids[a], ids[b])
+    return g
+
+
+def tie_heavy_graph(rng):
+    """Shapes where many vertices share a min-fill key."""
+    n = rng.randint(1, 12)
+    shape = rng.choice(["path", "cycle", "star", "grid", "clique", "isolated"])
+    if shape == "path":
+        return path_graph(n)
+    if shape == "cycle":
+        g = path_graph(max(n, 3))
+        g.add_edge(1, g.n)
+        return g
+    if shape == "star":
+        return Graph.from_edges(range(1, n + 1), [(1, i) for i in range(2, n + 1)])
+    if shape == "grid":
+        return grid_graph(rng.randint(1, 4), rng.randint(1, 4))
+    if shape == "clique":
+        return Graph.from_edges(range(1, n + 1), itertools.combinations(range(1, n + 1), 2))
+    return Graph.from_edges(range(1, n + 1))
+
+
 def worsened_decomposition(rng, g):
     """A valid but sloppier decomposition: start from the computed one, then
     randomly fatten bags along tree edges and duplicate leaf bags."""
@@ -121,6 +174,14 @@ class TestValidate:
         report = validate(td)
         assert any(v.axiom == "connectivity" for v in report.violations)
 
+    def test_unknown_bag_vertices_detected(self):
+        g = path_graph(2)
+        td = TreeDecomposition(g, 1, {1: None, 2: 1}, {1: {1, 2}, 2: {2, 98, 99}})
+        report = validate(td)
+        assert report.violations == [Violation("unknown-vertex", 98), Violation("unknown-vertex", 99)]
+        with pytest.raises(InputError):
+            stats(td)
+
     def test_matches_naive_checker_on_mutants(self):
         rng = random.Random(42)
         for _ in range(60):
@@ -133,6 +194,19 @@ class TestValidate:
             bags[t].discard(rng.choice(sorted(bags[t])))
             mutant = TreeDecomposition(g, td.root, td.parent, bags)
             assert validate(mutant).ok == naive_axiom_check(mutant)
+            # a host vertex dropped from every bag
+            gone = rng.choice(sorted(g.vertices))
+            bags = {t: set(b) - {gone} for t, b in td.bags.items()}
+            mutant = TreeDecomposition(g, td.root, td.parent, bags)
+            assert not naive_axiom_check(mutant)
+            assert Violation("coverage", gone) in validate(mutant).violations
+            # a bag gaining a vertex the host does not have
+            stranger = max(g.vertices) + rng.randint(1, 5)
+            bags = {t: set(b) for t, b in td.bags.items()}
+            bags[rng.choice(sorted(bags))].add(stranger)
+            mutant = TreeDecomposition(g, td.root, td.parent, bags)
+            assert not naive_axiom_check(mutant)
+            assert validate(mutant).violations == [Violation("unknown-vertex", stranger)]
 
 
 class TestStats:
@@ -237,6 +311,28 @@ class TestBinarize:
             assert validate(out).ok
             assert all(len(out.children[t]) <= 2 for t in out.nodes)
             assert max(len(b) for b in out.bags.values()) == max(len(b) for b in td.bags.values())
+
+
+class TestDeepDecompositions:
+    """A 2000-vertex path decomposes into a 1999-deep chain of bags; the
+    transforms must walk it without hitting the recursion limit."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        td = compute_decomposition(path_graph(2000))
+        assert max(td.depths().values()) == 1999
+        return td
+
+    def test_make_connected(self, chain):
+        out = make_connected(chain)
+        assert validate(out).ok and is_connected_decomposition(out)
+        assert sorted(out.bags.values(), key=sorted) == sorted(chain.bags.values(), key=sorted)
+
+    def test_binarize(self, chain):
+        out = binarize(chain)
+        assert validate(out).ok
+        assert out.parent == {t: (t - 1 if t > 1 else None) for t in out.nodes}
+        assert sorted(out.bags.values(), key=sorted) == sorted(chain.bags.values(), key=sorted)
 
 
 class TestLcaClosure:
@@ -438,6 +534,19 @@ class TestComputeDecomposition:
             g = random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.4, 0.6]))
             td = compute_decomposition(g)
             assert validate(td).ok
+
+    def test_min_fill_order_matches_naive_scan(self):
+        rng = random.Random(17)
+        graphs = [tie_heavy_graph(rng) for _ in range(80)]
+        for _ in range(60):
+            parts = [tie_heavy_graph(rng) for _ in range(rng.randint(2, 4))]
+            graphs.append(disjoint_union(*parts))
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(1, 25), rng.choice([0.1, 0.2, 0.4, 0.7]))
+            g.add_vertex()  # an isolated vertex with the largest id
+            graphs.append(g)
+        for g in graphs:
+            assert _min_fill_order(g) == naive_min_fill_order(g)
 
     def test_disconnected_graph(self):
         g = Graph.from_edges(range(1, 7), [(1, 2), (3, 4)])
