@@ -15,8 +15,8 @@ from functools import partial
 from . import __version__
 from .driver import kernelize
 from .errors import KPathError, SuiteFailure
-from .generate import KINDS, _KIND_ALIASES, GeneratorSpec, generate
-from .graphs import brute_force_k_path, read_graph_text, vertex_index, write_graph_text
+from .generate import KINDS, GeneratorSpec, generate
+from .graphs import brute_force_k_path, parse_int, read_graph_text, vertex_index, write_graph_text
 from .linkage import brute_force_linkage, load_instance, solve_linkage
 from .modulator import make_modulator_instance, modulator_kernelize
 from .separation import DecompositionSeparationProvider, TrivialSeparationProvider
@@ -32,10 +32,8 @@ def _read_graph(path: str):
 def _read_modulator(path: str) -> list[int]:
     ids = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                ids.extend(int(x) for x in line.split())
+        for lineno, line in enumerate(fh, 1):
+            ids.extend(parse_int(x, lineno) for x in line.split("#", 1)[0].split())
     return ids
 
 
@@ -189,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a seeded instance (graph + modulator files)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=KINDS + tuple(_KIND_ALIASES), default="partial-k-tree")
+    p.add_argument("--kind", choices=KINDS, default="partial-k-tree")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("--ell", type=int, default=0)
@@ -205,14 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=["linkage", "bruteforce"], default="linkage")
     p.add_argument("--cap", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("linkage", help="linkage subcommands")
     linksub = p.add_subparsers(dest="linkage_command", required=True)
     ps = linksub.add_parser("solve", help="solve a JSON linkage instance")
     ps.add_argument("file")
-    ps.add_argument("--seed", type=int, default=0)
     ps.set_defaults(func=cmd_linkage_solve)
 
     p = sub.add_parser("kernelize", help="generic separation-driven kernel")
@@ -223,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=2, help="order bound for the trivial provider")
     p.add_argument("--oracle", choices=["bruteforce", "solver"], default="solver")
     p.add_argument("--stats", help="write the run report to this JSON file")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("modkernel", help="treewidth-modulator kernel")
@@ -234,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=["bruteforce", "solver"], default="solver")
     p.add_argument("--m-override", type=int)
     p.add_argument("--stats", help="write the run report to this JSON file")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_modkernel)
 
     p = sub.add_parser("validate-td", help="check a decomposition file against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--td", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate_td)
 
     p = sub.add_parser("suite", help="randomized kernel-vs-brute-force suite")

@@ -8,7 +8,6 @@ cover the remaining test shapes; their eta is measured exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from .modulator import ModulatorInstance, make_modulator_instance
 from .treedecomp import compute_decomposition
 
 KINDS = ("partial-k-tree", "gnp", "grid", "theta")
-_KIND_ALIASES = {"random-gnp": "gnp", "theta-graph": "theta"}
 
 
 @dataclass(frozen=True)
@@ -44,11 +42,8 @@ def generate(spec: GeneratorSpec) -> ModulatorInstance:
     """Deterministic: the same spec always yields the identical graph."""
     if spec.n < 1:
         raise InputError("n must be >= 1")
-    kind = _KIND_ALIASES.get(spec.kind, spec.kind)
-    if kind not in KINDS:
+    if spec.kind not in KINDS:
         raise InputError(f"unknown kind {spec.kind!r}; expected one of {KINDS}")
-    if kind != spec.kind:
-        spec = dataclasses.replace(spec, kind=kind)
     rng = random.Random(spec.seed)
     g = Graph()
     if spec.kind == "theta":

@@ -7,7 +7,9 @@ Paths are plain tuples of vertex ids.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, NotApplicableError
@@ -347,6 +349,20 @@ def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> li
     return comps
 
 
+def small_separators(g: Graph, h: int, budget: int) -> Iterator[set[int]]:
+    """Every vertex set of size at most h, smallest first, then in
+    lexicographic order of the sorted vertices. Raises NotApplicableError
+    before the first cut when there are more than ``budget`` of them."""
+    n = g.n
+    total = sum(comb(n, i) for i in range(min(h, n) + 1))
+    if total > budget:
+        raise NotApplicableError(f"{total} separator candidates exceed the cap")
+    verts = sorted(g.vertices)
+    for size in range(min(h, n) + 1):
+        for cut in itertools.combinations(verts, size):
+            yield set(cut)
+
+
 def vertex_index(g: Graph) -> dict[int, int]:
     """Map vertex ids to 1..n in ascending order (text format ids)."""
     return {v: i + 1 for i, v in enumerate(sorted(g.vertices))}
@@ -362,9 +378,19 @@ def write_graph_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_int(token: str, lineno: int) -> int:
+    """An integer token of a text file; InputError naming the line if not."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def read_graph_text(text: str) -> Graph:
+    """Parse the text format of ``write_graph_text``. Rejects non-integer
+    tokens and an edge given twice, in either orientation."""
     n = m = None
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], tuple[int, int]] = {}  # (min, max) -> as written
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -375,16 +401,20 @@ def read_graph_text(text: str) -> Graph:
                 raise InputError(f"line {lineno}: duplicate header")
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: malformed header")
-            n, m = int(parts[1]), int(parts[2])
+            n, m = parse_int(parts[1], lineno), parse_int(parts[2], lineno)
         else:
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected an edge line")
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = parse_int(parts[0], lineno), parse_int(parts[1], lineno)
+            key = (min(u, v), max(u, v))
+            if key in edges:
+                raise InputError(f"line {lineno}: repeated edge ({u},{v})")
+            edges[key] = (u, v)
     if n is None:
         raise InputError("missing 'p <n> <m>' header")
     if m != len(edges):
         raise InputError(f"header announces {m} edges, found {len(edges)}")
     g = Graph.from_edges(range(1, n + 1))
-    for u, v in edges:
+    for u, v in edges.values():
         g.add_edge(u, v)
     return g

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, NotApplicableError, OracleFaultError
 from .graphs import Graph, Path, connected_components, is_simple_path
@@ -43,15 +43,6 @@ class LinkageInstance:
                 raise InputError(f"request {sorted(r)} has more than two terminals")
             if not set(r) <= set(self.terminals):
                 raise InputError(f"request {sorted(r)} references a non-terminal")
-
-    def canonical_key(self):
-        """Order-invariant identity: requests sorted by (size, ids)."""
-        reqs = tuple(sorted((tuple(sorted(r)) for r in self.requests), key=lambda t: (len(t), t)))
-        return (self.k_prime, reqs)
-
-
-def canonical_requests(requests: Iterable[Request]) -> tuple[Request, ...]:
-    return tuple(sorted((frozenset(r) for r in requests), key=lambda r: (len(r), sorted(r))))
 
 
 def validate_solution(inst: LinkageInstance, sol: Optional[Sequence[Path]]) -> bool:
@@ -420,14 +411,6 @@ def _order_segment(h: Graph, comp: set[int], terms: set[int]) -> Optional[tuple[
     return (frozenset(t_first + t_last), full)
 
 
-@dataclass
-class PerCall:
-    vertices: int
-    k_prime: int
-    requests: int
-    answered_yes: bool
-
-
 class OracleStats:
     """Audit trail of oracle usage. Safe for concurrent recording."""
 
@@ -435,13 +418,11 @@ class OracleStats:
         self._lock = threading.Lock()
         self.calls = 0
         self.max_instance_vertices = 0
-        self.per_call_log: list[PerCall] = []
 
     def record(self, vertices: int, k_prime: int, requests: int, answered_yes: bool) -> None:
         with self._lock:
             self.calls += 1
             self.max_instance_vertices = max(self.max_instance_vertices, vertices)
-            self.per_call_log.append(PerCall(vertices, k_prime, requests, answered_yes))
 
     def to_json(self) -> dict:
         return {
@@ -483,7 +464,7 @@ def instance_from_json(data: dict) -> LinkageInstance:
             frozenset(data["terminals"]),
             tuple(frozenset(r) for r in data["requests"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed linkage instance: {exc}") from exc
     inst.validate()
     return inst
@@ -491,4 +472,8 @@ def instance_from_json(data: dict) -> LinkageInstance:
 
 def load_instance(path: str) -> LinkageInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"line {exc.lineno}: malformed JSON: {exc.msg}") from exc
+    return instance_from_json(data)

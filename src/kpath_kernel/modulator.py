@@ -17,6 +17,7 @@ from .errors import InputError, NotApplicableError
 from .graphs import Graph, Path, induced_subgraph, open_neighborhood, reachable
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, solve_linkage
 from .driver import BoundCheck
+from .reduction import _request_universe
 from .treedecomp import (
     EdgeComponent,
     TreeDecomposition,
@@ -50,7 +51,7 @@ def make_modulator_instance(
         raise InputError("need k >= 1 and eta >= 0")
     core = set(g.vertices) - mset
     if core:
-        td = compute_decomposition(induced_subgraph(g, core), width_hint=eta, exact_cap=exact_cap)
+        td = compute_decomposition(induced_subgraph(g, core), exact_cap=exact_cap)
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
             raise InputError(f"G - M has width {width} > eta = {eta}")
@@ -258,13 +259,7 @@ def _component_candidates(
     vertex, so patterns with r + |union of requests| > k' can never arise
     and are skipped.
     """
-    universe: set[frozenset] = set()
-    for s in sorted(s_d):
-        universe.add(frozenset({s}))
-        for x in sorted(terminals):
-            if x != s:
-                universe.add(frozenset({s, x}))
-    ordered = sorted(universe, key=lambda r: (len(r), sorted(r)))
+    ordered = _request_universe(s_d, terminals)
     rmax = min(4 * eta + 4, k)
     patterns: list[tuple[tuple[frozenset, ...], int]] = []
 
@@ -388,7 +383,6 @@ def modulator_kernelize(
     rounds = 0
     components_reduced = 0
     stalled = False
-    comp_max_instance = 0
     fam = build_path_families(cur)
     a2: frozenset = frozenset()
 
@@ -403,7 +397,7 @@ def modulator_kernelize(
             break
         core = induced_subgraph(work, core_vs)
         td = _single_child_root(
-            binarize(make_connected(compute_decomposition(core, width_hint=eta, exact_cap=exact_cap)))
+            binarize(make_connected(compute_decomposition(core, exact_cap=exact_cap)))
         )
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
@@ -425,10 +419,6 @@ def modulator_kernelize(
             checks.append(
                 BoundCheck.le("component_oracle_calls", stats.calls - calls_before, (k + 1) * rho_value)
             )
-            worst = max(
-                (c.vertices for c in stats.per_call_log[calls_before:]), default=0
-            )
-            comp_max_instance = max(comp_max_instance, worst)
             components_reduced += 1
             if deleted:
                 work = work2
@@ -444,9 +434,10 @@ def modulator_kernelize(
                 stalled = True  # possible only under an m_override below the safe formula
             break
 
+    # only component calls are recorded before the final one
     checks.append(
         BoundCheck.le(
-            "component_oracle_instance_size", comp_max_instance, 2 * m_threshold + eta + 1 + ell
+            "component_oracle_instance_size", stats.max_instance_vertices, 2 * m_threshold + eta + 1 + ell
         )
     )
     final = LinkageInstance(work, k, frozenset(), (frozenset(),))

@@ -9,7 +9,6 @@ decomposition, the other finds them by exhaustive separator search.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Union
 
 from .errors import InputError, NotApplicableError
@@ -19,8 +18,9 @@ from .graphs import (
     check_separation,
     connected_components,
     open_neighborhood,
+    small_separators,
 )
-from .treedecomp import TreeDecomposition, compute_decomposition, make_connected, stats, validate
+from .treedecomp import TreeDecomposition, compute_decomposition, make_connected, stats
 
 HAS_K_PATH = "has-k-path"
 ProviderAnswer = Union[Separation, str, None]
@@ -34,12 +34,12 @@ def separation_from_decomposition(g: Graph, td: TreeDecomposition, p: int) -> Se
     group of equal-adhesion children stays below p, the whole subtree is the
     left side; otherwise children of one heavy group are accumulated
     (smallest subtree first) until just past p.
+
+    Precondition: ``td`` must be a valid decomposition of ``g`` (see
+    ``stats``).
     """
     if g.n <= p:
         raise NotApplicableError(f"|V| = {g.n} <= p = {p}")
-    report = validate(td)
-    if not report.ok:
-        raise InputError(f"invalid decomposition: {report.violations[:3]}")
     if len(td.bags) == 1:
         vs = frozenset(g.vertices)
         return Separation(vs, vs, branch="degenerate-single-bag")
@@ -84,33 +84,24 @@ def trivial_separation_oracle(
     with p < |A| <= q_cap. None when no candidate works."""
     if h < 0 or p < 0:
         raise InputError("need h >= 0 and p >= 0")
-    from math import comb
-
-    n = g.n
-    total = sum(comb(n, i) for i in range(min(h, n) + 1))
-    if total > subset_budget:
-        raise NotApplicableError(f"{total} separator candidates exceed the cap")
-    verts = sorted(g.vertices)
-    for size in range(min(h, n) + 1):
-        for cut in itertools.combinations(verts, size):
-            cs = set(cut)
-            lo = p - size  # strict lower bound for the component total
-            hi = q_cap - size
-            if hi < 0:
-                continue
-            comps = connected_components(g, within=set(verts) - cs)
-            sizes = [len(c) for c in comps]
-            reach: dict[int, tuple[int, ...]] = {0: ()}
-            if lo < 0 and cs:
-                chosen: tuple[int, ...] = ()
-                return _assemble(g, cs, comps, chosen)
-            for i, sz in enumerate(sizes):
-                for s, picks in list(reach.items()):
-                    ns = s + sz
-                    if ns <= hi and ns not in reach:
-                        reach[ns] = picks + (i,)
-                        if ns > lo:
-                            return _assemble(g, cs, comps, reach[ns])
+    for cs in small_separators(g, h, subset_budget):
+        lo = p - len(cs)  # strict lower bound for the component total
+        hi = q_cap - len(cs)
+        if hi < 0:
+            break  # cuts come smallest first, so no later one fits either
+        comps = connected_components(g, within=g.vertices - cs)
+        sizes = [len(c) for c in comps]
+        reach: dict[int, tuple[int, ...]] = {0: ()}
+        if lo < 0 and cs:
+            chosen: tuple[int, ...] = ()
+            return _assemble(g, cs, comps, chosen)
+        for i, sz in enumerate(sizes):
+            for s, picks in list(reach.items()):
+                ns = s + sz
+                if ns <= hi and ns not in reach:
+                    reach[ns] = picks + (i,)
+                    if ns > lo:
+                        return _assemble(g, cs, comps, reach[ns])
     return None
 
 
@@ -128,7 +119,8 @@ class DecompositionSeparationProvider:
     """Separations read off a fixed decomposition of the starting graph,
     restricted to whatever vertices survive. Width, adhesion and adhesion
     degree can only shrink under restriction, so the declared bounds hold
-    for every later call."""
+    for every later call. The decomposition, computed or supplied, is
+    validated once here by ``stats``; restricting it keeps it valid."""
 
     def __init__(self, g0: Graph, td: Optional[TreeDecomposition] = None, exact_cap: int = 30):
         self._td0 = td if td is not None else make_connected(compute_decomposition(g0, exact_cap=exact_cap))

@@ -12,11 +12,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Optional
 
 from .errors import InputError, NotApplicableError
-from .graphs import Graph, connected_components, vertex_index
+from .graphs import Graph, connected_components, parse_int, small_separators, vertex_index
 
 NodeId = int
 
@@ -213,11 +212,10 @@ def stats(td: TreeDecomposition) -> DecompositionStats:
 def make_connected(td: TreeDecomposition) -> TreeDecomposition:
     """Split child subtrees into one copy per component below the parent bag
     and drop adhesion vertices with no neighbor down there. Width and
-    adhesion cannot increase; a single top-down pass suffices."""
+    adhesion cannot increase; a single top-down pass suffices.
+
+    Precondition: ``td`` must be a valid decomposition (see ``stats``)."""
     g = td.host
-    report = validate(td)
-    if not report.ok:
-        raise InputError(f"invalid decomposition: {report.violations[:3]}")
     unions = td.subtree_unions()
     counter = itertools.count(1)
     parent: dict[NodeId, Optional[NodeId]] = {}
@@ -267,10 +265,9 @@ def binarize(td: TreeDecomposition) -> TreeDecomposition:
     len(children(t)) - 2 adhesion sets equal to B_t (each duplicate to the
     copy above it), so the adhesion becomes the larger of the old adhesion
     and the largest such |B_t|. It is not minimised: no width-preserving
-    binarization can keep the adhesion in general (README.md)."""
-    report = validate(td)
-    if not report.ok:
-        raise InputError(f"invalid decomposition: {report.violations[:3]}")
+    binarization can keep the adhesion in general (README.md).
+
+    Precondition: ``td`` must be a valid decomposition (see ``stats``)."""
     counter = itertools.count(1)
     parent: dict[NodeId, Optional[NodeId]] = {}
     bags: dict[NodeId, frozenset] = {}
@@ -305,10 +302,7 @@ def lca_closure(td: TreeDecomposition, b1: Iterable[NodeId]) -> frozenset:
     for i, a in enumerate(items):
         for b in items[i + 1 :]:
             out.add(td.lca(a, b, depth))
-    # one round of pairwise lcas closes the set
-    for a in out:
-        for b in out:
-            assert td.lca(a, b, depth) in out
+    # one round of pairwise lcas closes the set; edge_components checks it
     assert len(out) <= 2 * len(marked) + 1
     return frozenset(out)
 
@@ -407,27 +401,23 @@ def lowest_heavy_node(
 # -- treewidth ---------------------------------------------------------------
 
 
-def compute_decomposition(
-    g: Graph, width_hint: Optional[int] = None, exact_cap: int = 30
-) -> TreeDecomposition:
+def compute_decomposition(g: Graph, exact_cap: int = 30) -> TreeDecomposition:
     """A valid rooted decomposition of g: exact minimum width up to
     ``exact_cap`` vertices (branch-and-bound over elimination orders with
     memoized dead ends), min-fill greedy above it."""
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
     if g.n <= exact_cap:
-        order = _exact_elimination_order(g, width_hint)
+        order = _exact_elimination_order(g)
     else:
         order = _min_fill_order(g)
     return _decomposition_from_order(g, order)
 
 
-def _exact_elimination_order(g: Graph, width_hint: Optional[int]) -> list[int]:
+def _exact_elimination_order(g: Graph) -> list[int]:
     ub_order = _min_fill_order(g)
     ub = _width_of_order(g, ub_order)
     lb = _degeneracy_lower_bound(g)
-    if width_hint is not None:
-        lb = max(lb, 0)
     for w in range(lb, ub):
         order = _order_with_width(g, w)
         if order is not None:
@@ -592,24 +582,17 @@ def check_unbreakable(
     xs = set(x)
     if not xs <= set(g.vertices):
         raise InputError("x must be a vertex subset")
-    n = g.n
-    total_subsets = sum(comb(n, i) for i in range(min(h, n) + 1))
-    if total_subsets > subset_budget:
-        raise NotApplicableError(f"{total_subsets} separator candidates exceed the cap")
-    verts = sorted(g.vertices)
-    for size in range(min(h, n) + 1):
-        for cut in itertools.combinations(verts, size):
-            cs = set(cut)
-            counts = [len(c & xs) for c in connected_components(g, within=set(verts) - cs)]
-            total = sum(counts)
-            if total <= 2 * q + 1:
-                continue
-            bits = 1
-            for c in counts:
-                bits |= bits << c
-            for s in range(q + 1, total - q):
-                if (bits >> s) & 1:
-                    return False
+    for cut in small_separators(g, h, subset_budget):
+        counts = [len(c & xs) for c in connected_components(g, within=g.vertices - cut)]
+        total = sum(counts)
+        if total <= 2 * q + 1:
+            continue
+        bits = 1
+        for c in counts:
+            bits |= bits << c
+        for s in range(q + 1, total - q):
+            if (bits >> s) & 1:
+                return False
     return True
 
 
@@ -648,23 +631,25 @@ def read_td(text: str, host: Graph) -> TreeDecomposition:
         parts = line.split()
         if parts[0] == "c":
             if len(parts) >= 3 and parts[1] == "root":
-                root_directive = int(parts[2])
+                root_directive = parse_int(parts[2], lineno)
             continue
         if parts[0] == "s":
             if header is not None:
                 raise InputError(f"line {lineno}: duplicate header")
             if len(parts) != 5 or parts[1] != "td":
                 raise InputError(f"line {lineno}: malformed 's td' header")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = tuple(parse_int(x, lineno) for x in parts[2:])
         elif parts[0] == "b":
-            bid = int(parts[1])
+            if len(parts) < 2:
+                raise InputError(f"line {lineno}: bag line without an id")
+            bid = parse_int(parts[1], lineno)
             if bid in bag_lines:
                 raise InputError(f"line {lineno}: duplicate bag {bid}")
-            bag_lines[bid] = frozenset(int(x) for x in parts[2:])
+            bag_lines[bid] = frozenset(parse_int(x, lineno) for x in parts[2:])
         else:
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected a tree edge")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((parse_int(parts[0], lineno), parse_int(parts[1], lineno)))
     if header is None:
         raise InputError("missing 's td' header")
     nbags, _, nverts = header
@@ -675,6 +660,8 @@ def read_td(text: str, host: Graph) -> TreeDecomposition:
     if len(edges) != max(0, nbags - 1):
         raise InputError("a tree on the bags needs exactly #bags-1 edges")
     root = root_directive if root_directive is not None else min(bag_lines, default=1)
+    if root not in bag_lines:
+        raise InputError(f"root {root} is not a bag")
     adj: dict[int, list[int]] = {b: [] for b in bag_lines}
     for a, b in edges:
         if a not in adj or b not in adj:

@@ -125,6 +125,68 @@ class TestCli:
         missing = str(tmp_path / "nope.gr")
         assert main(["solve", "--graph", missing, "--k", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p 2 1\n1 x\n",  # non-integer vertex id
+            "p x 0\n",  # non-integer header
+            "p 3 2\n1 2\n1 2\n",  # repeated edge
+            "p 3 2\n1 2\n2 1\n",  # repeated edge, other orientation
+        ],
+    )
+    def test_solve_rejects_malformed_graph(self, workdir, capsys, tmp_path, text):
+        gfile = write(tmp_path / "bad.gr", text)
+        assert main(["solve", "--graph", gfile, "--k", "2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "line " in err["detail"]
+
+    @pytest.mark.parametrize(
+        "td_text",
+        [
+            "s td 1 2 2\nb 1 1 x\n",
+            "c root x\ns td 1 2 2\nb 1 1 2\n",
+            "s td 1 two 2\nb 1 1 2\n",
+            "s td 1 2 2\nb\n",
+            "c root 5\ns td 1 2 2\nb 1 1 2\n",
+        ],
+    )
+    def test_validate_td_rejects_malformed_file(self, workdir, capsys, tmp_path, td_text):
+        g = Graph.from_edges([1, 2], [(1, 2)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        tdfile = write(tmp_path / "bad.td", td_text)
+        assert main(["validate-td", "--graph", gfile, "--td", tdfile]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    def test_kernelize_rejects_invalid_td_file(self, workdir, capsys, tmp_path):
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        # parses, but edge (2, 3) lies in no bag
+        tdfile = write(tmp_path / "bad.td", "s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n")
+        assert main(["kernelize", "--graph", gfile, "--k", "2", "--td", tdfile]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    def test_modkernel_rejects_malformed_modulator(self, workdir, capsys, tmp_path):
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        mfile = write(tmp_path / "bad.mod", "1\nx\n")
+        assert main(["modkernel", "--graph", gfile, "--modulator", mfile,
+                     "--k", "2", "--eta", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "line 2" in err["detail"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"graph": {"vertices": [1], "edges": []}, "k_prime": "x",'
+            ' "terminals": [], "requests": [[]]}',
+            '{"graph": {"vertices": [1], "edges": []},',
+        ],
+    )
+    def test_linkage_solve_rejects_malformed_instance(self, workdir, capsys, tmp_path, text):
+        f = write(tmp_path / "bad.json", text)
+        assert main(["linkage", "solve", f]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
     def test_module_entry_point(self, tmp_path):
         g = Graph.from_edges([1, 2], [(1, 2)])
         gfile = write(tmp_path / "g.gr", write_graph_text(g))

@@ -18,6 +18,7 @@ from kpath_kernel.graphs import (
     traverses,
     write_graph_text,
 )
+from kpath_kernel.treedecomp import read_td, validate
 
 
 def path_graph(n):
@@ -241,6 +242,33 @@ class TestGraphTextFormat:
         assert g.n == 3 and g.m == 1
         with pytest.raises(InputError):
             read_graph_text("p 3 2\n1 2\n")
+
+    # whole lines that parse, mixed with lines of arbitrary tokens
+    _line = st.one_of(
+        st.sampled_from(["p 3 2", "1 2", "2 1", "2 3", "s td 2 2 3", "b 1 1 2", "b 2 2 3", "c root 2"]),
+        st.lists(
+            st.sampled_from(["p", "s", "td", "b", "c", "root", "0", "1", "2", "3", "-1", "x", "2.5"]),
+            max_size=5,
+        ).map(" ".join),
+    )
+    _text = st.lists(_line, max_size=6).map("\n".join)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_text, _text)
+    def test_parsers_accept_or_raise_input_error(self, graph_text, td_text):
+        try:
+            g = read_graph_text(graph_text)
+        except InputError:
+            g = path_graph(3)
+        else:
+            header = next(ln for ln in graph_text.splitlines() if ln.strip().startswith("p"))
+            assert g.m == int(header.split()[2])
+        try:
+            td = read_td(td_text, g)
+        except InputError:
+            return
+        # what parses is a rooted tree the validator can check
+        assert isinstance(validate(td).ok, bool)
 
     def test_sparse_ids_are_remapped(self):
         g = Graph.from_edges([10, 20, 30], [(10, 30)])

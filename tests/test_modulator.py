@@ -67,7 +67,7 @@ def small_modulator_instance(rng, max_n=20, max_k=4, max_eta=1, max_ell=2):
 
 def pipeline_decomposition(inst):
     core = set(inst.graph.vertices) - inst.modulator
-    td = compute_decomposition(induced_subgraph(inst.graph, core), width_hint=inst.eta)
+    td = compute_decomposition(induced_subgraph(inst.graph, core))
     return binarize(make_connected(td))
 
 

@@ -3,8 +3,13 @@ import random
 
 import pytest
 
-from kpath_kernel.errors import NotApplicableError
+from kpath_kernel import treedecomp
+from kpath_kernel.driver import kernelize
+from kpath_kernel.errors import InputError, NotApplicableError
+from kpath_kernel.generate import GeneratorSpec, generate
 from kpath_kernel.graphs import Graph, check_separation
+from kpath_kernel.linkage import solve_linkage
+from kpath_kernel.modulator import modulator_kernelize
 from kpath_kernel.separation import (
     DecompositionSeparationProvider,
     TrivialSeparationProvider,
@@ -149,3 +154,42 @@ class TestProviders:
         g = path_graph(3)
         assert TrivialSeparationProvider(h=1).find(g, 2, 5) is None
         assert DecompositionSeparationProvider(g).find(g, 2, 5) is None
+
+    def test_supplied_invalid_decomposition_rejected(self):
+        g = path_graph(3)
+        # edge (2, 3) lies in no bag
+        td = TreeDecomposition(g, 1, {1: None, 2: 1}, {1: {1, 2}, 2: {3}})
+        with pytest.raises(InputError):
+            DecompositionSeparationProvider(g, td=td)
+
+
+class TestDecompositionValidatedOnce:
+    """A decomposition is validated where it enters (provider construction),
+    not again by the transforms and separations built from it."""
+
+    @pytest.fixture()
+    def validate_calls(self, monkeypatch):
+        calls = []
+        real = treedecomp.validate
+
+        def counting(td):
+            calls.append(td)
+            return real(td)
+
+        monkeypatch.setattr(treedecomp, "validate", counting)
+        return calls
+
+    def test_kernelize_validates_once(self, validate_calls):
+        rng = random.Random(8)
+        g = Graph.from_edges(range(1, 21))
+        for v in range(2, 21):
+            g.add_edge(v, rng.randint(1, v - 1))
+        run = kernelize(g, 1, DecompositionSeparationProvider(g), solve_linkage)
+        assert run.reduction_steps >= 1
+        assert len(validate_calls) == 1
+
+    def test_modulator_kernelize_never_validates(self, validate_calls):
+        inst = generate(GeneratorSpec(n=16, k=3, eta=1, modulator_size=2, seed=2))
+        run = modulator_kernelize(inst, solve_linkage, m_override=4)
+        assert run.reduction_steps >= 1
+        assert validate_calls == []
