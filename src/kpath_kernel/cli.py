@@ -21,7 +21,7 @@ from .linkage import brute_force_linkage, load_instance, solve_linkage
 from .modulator import make_modulator_instance, modulator_kernelize
 from .separation import DecompositionSeparationProvider, TrivialSeparationProvider
 from .suite import SuiteConfig, run_suite, summarize
-from .treedecomp import read_td, stats as td_stats, validate as td_validate
+from .treedecomp import measure as td_measure, read_td, validate as td_validate
 
 
 def _read_graph(path: str):
@@ -145,7 +145,7 @@ def cmd_validate_td(args) -> int:
         "violations": [{"axiom": v.axiom, "witness": str(v.witness)} for v in report.violations],
     }
     if report.ok:
-        s = td_stats(td)
+        s = td_measure(td)
         data["stats"] = {
             "width": s.width,
             "adhesion": s.adhesion,

@@ -23,6 +23,7 @@ class Graph:
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._next_id = 1
+        self._sorted_adj: Optional[dict[int, tuple[int, ...]]] = None
 
     @classmethod
     def from_edges(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -38,12 +39,14 @@ class Graph:
             raise InputError(f"vertex ids are positive integers, got {v!r}")
         if v in self._adj:
             raise InputError(f"duplicate vertex {v}")
+        self._sorted_adj = None
         self._adj[v] = set()
         if v >= self._next_id:
             self._next_id = v + 1
 
     def add_vertex(self) -> int:
         v = self._next_id
+        self._sorted_adj = None
         self._adj[v] = set()
         self._next_id = v + 1
         return v
@@ -56,18 +59,21 @@ class Graph:
             raise InputError(f"self-loop at {u}")
         if u not in self._adj or v not in self._adj:
             raise InputError(f"edge ({u},{v}) references an unknown vertex")
+        self._sorted_adj = None
         self._adj[u].add(v)
         self._adj[v].add(u)
 
     def delete_edge(self, u: int, v: int) -> None:
         if v not in self._adj.get(u, ()):
             raise InputError(f"edge ({u},{v}) not present")
+        self._sorted_adj = None
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
     def delete_vertex(self, v: int) -> None:
         if v not in self._adj:
             raise InputError(f"unknown vertex {v}")
+        self._sorted_adj = None
         for w in self._adj.pop(v):
             self._adj[w].discard(v)
 
@@ -107,6 +113,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def sorted_adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Every vertex's neighbours in ascending order. Built on first use
+        and kept until the graph next changes, so the many oracle calls
+        made on one graph version share it. Treat as read-only."""
+        if self._sorted_adj is None:
+            self._sorted_adj = {v: tuple(sorted(s)) for v, s in self._adj.items()}
+        return self._sorted_adj
 
     def copy(self) -> "Graph":
         g = Graph()
@@ -388,9 +402,10 @@ def parse_int(token: str, lineno: int) -> int:
 
 def read_graph_text(text: str) -> Graph:
     """Parse the text format of ``write_graph_text``. Rejects non-integer
-    tokens and an edge given twice, in either orientation."""
+    tokens, an edge given twice, in either orientation, a self-loop and an
+    endpoint outside 1..n, each with its line number."""
     n = m = None
-    edges: dict[tuple[int, int], tuple[int, int]] = {}  # (min, max) -> as written
+    edges: dict[tuple[int, int], tuple[int, int, int]] = {}  # (min, max) -> as written, line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -409,12 +424,15 @@ def read_graph_text(text: str) -> Graph:
             key = (min(u, v), max(u, v))
             if key in edges:
                 raise InputError(f"line {lineno}: repeated edge ({u},{v})")
-            edges[key] = (u, v)
+            edges[key] = (u, v, lineno)
     if n is None:
         raise InputError("missing 'p <n> <m>' header")
     if m != len(edges):
         raise InputError(f"header announces {m} edges, found {len(edges)}")
     g = Graph.from_edges(range(1, n + 1))
-    for u, v in edges.values():
-        g.add_edge(u, v)
+    for u, v, lineno in edges.values():
+        try:
+            g.add_edge(u, v)
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return g

@@ -33,15 +33,16 @@ class LinkageInstance:
     requests: tuple[Request, ...]
 
     def validate(self) -> None:
+        if isinstance(self.k_prime, bool) or not isinstance(self.k_prime, int):
+            raise InputError(f"k_prime must be an integer, got {self.k_prime!r}")
         if self.k_prime < 0:
             raise InputError("k_prime must be >= 0")
-        verts = set(self.graph.vertices)
-        if not set(self.terminals) <= verts:
+        if not self.terminals <= self.graph.vertices:
             raise InputError("terminals must be vertices of the graph")
         for r in self.requests:
             if len(r) > 2:
                 raise InputError(f"request {sorted(r)} has more than two terminals")
-            if not set(r) <= set(self.terminals):
+            if not r <= self.terminals:
                 raise InputError(f"request {sorted(r)} references a non-terminal")
 
 
@@ -80,6 +81,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
     """
     inst.validate()
     g = inst.graph
+    terms = inst.terminals
     reqs = inst.requests
     nreq = len(reqs)
     if nreq == 0:
@@ -88,10 +90,10 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
     free_total = inst.k_prime - len(union_terms)
     if free_total < 0:
         return None
-    pool = frozenset(g.vertices) - inst.terminals
-    if free_total > len(pool):
+    pool_size = g.n - len(terms)  # the non-terminals, which paths may use
+    if free_total > pool_size:
         return None
-    adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
+    adj = g.sorted_adjacency()
 
     order = sorted(range(nreq), key=lambda i: (-len(reqs[i]), sorted(reqs[i]), i))
     lbs = []
@@ -126,7 +128,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
             for w in adj[x]:
                 if w == v:
                     return True
-                if w in pool and w not in used and w not in seen:
+                if w not in terms and w not in used and w not in seen:
                     seen.add(w)
                     stack.append(w)
         return False
@@ -134,7 +136,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
     def assign(pos: int) -> bool:
         if pos == len(order):
             return free[0] == 0
-        if free[0] > len(pool) - len(used):
+        if free[0] > pool_size - len(used):
             return False
         i = order[pos]
         r = reqs[i]
@@ -146,8 +148,8 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
         if len(r) == 1:
             (u,) = r
             return open_dfs(pos, i, u, u, [])
-        for s in sorted(pool):
-            if s not in used:
+        for s in sorted(g.vertices):
+            if s not in terms and s not in used:
                 used.add(s)
                 if open_dfs(pos, i, None, s, [s]):
                     return True
@@ -167,7 +169,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
             paths[i] = None
         if c < room:
             for w in adj[head]:
-                if w in pool and w not in used:
+                if w not in terms and w not in used:
                     used.add(w)
                     seq.append(w)
                     if pair_dfs(pos, i, u, v, w, seq):
@@ -193,7 +195,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
             paths[i] = None
         if c < room:
             for w in adj[head]:
-                if w in pool and w not in used:
+                if w not in terms and w not in used:
                     used.add(w)
                     seq.append(w)
                     if open_dfs(pos, i, anchor, w, seq):
@@ -460,7 +462,7 @@ def instance_from_json(data: dict) -> LinkageInstance:
         g = Graph.from_edges(gd["vertices"], [tuple(e) for e in gd["edges"]])
         inst = LinkageInstance(
             g,
-            int(data["k_prime"]),
+            data["k_prime"],
             frozenset(data["terminals"]),
             tuple(frozenset(r) for r in data["requests"]),
         )

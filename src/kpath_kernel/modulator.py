@@ -68,7 +68,9 @@ def find_uvk_path(
 ) -> Optional[Path]:
     """A path from u (to v, if given) with exactly k_prime further vertices,
     all outside the modulator and outside ``forbidden``. Exact, via the
-    linkage solver on the restricted graph."""
+    linkage solver on g itself: the other modulator vertices and the
+    forbidden ones are terminals that no request names, which no path may
+    use, so every call on one graph version shares its adjacency."""
     mset = frozenset(m_set)
     forb = frozenset(forbidden)
     if u not in mset or (v is not None and v not in mset):
@@ -77,11 +79,8 @@ def find_uvk_path(
         raise InputError("endpoints must be distinct")
     if forb & mset:
         raise InputError("forbidden vertices must lie outside the modulator")
-    ends = {u} if v is None else {u, v}
-    keep = (ends | (set(g.vertices) - mset)) - forb
-    sub = induced_subgraph(g, keep)
-    terms = frozenset(ends)
-    sol = solve_linkage(LinkageInstance(sub, k_prime + len(terms), terms, (terms,)))
+    ends = frozenset({u} if v is None else {u, v})
+    sol = solve_linkage(LinkageInstance(g, k_prime + len(ends), mset | forb, (ends,)))
     if sol is None:
         return None
     path = sol[0]

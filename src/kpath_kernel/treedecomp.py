@@ -192,9 +192,16 @@ def validate(td: TreeDecomposition) -> ValidationReport:
 
 
 def stats(td: TreeDecomposition) -> DecompositionStats:
+    """Validate ``td``, then measure it."""
     report = validate(td)
     if not report.ok:
         raise InputError(f"invalid decomposition: {report.violations[:3]}")
+    return measure(td)
+
+
+def measure(td: TreeDecomposition) -> DecompositionStats:
+    """Width, adhesion and adhesion degree. ``td`` must be a valid
+    decomposition."""
     width = max(len(b) for b in td.bags.values()) - 1
     adhesion = 0
     degree = 0
@@ -290,19 +297,24 @@ def binarize(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(td.host, 1, parent, bags)
 
 
+def _adjacent_lcas(td: TreeDecomposition, ts: Iterable[NodeId], depth: dict[NodeId, int]) -> set:
+    """The lcas of the nodes adjacent in post-order among ``ts``.
+
+    Post-order keeps every subtree contiguous, so these are all the
+    pairwise lcas of ``ts``, and ``ts`` with them is closed under lca
+    (the virtual-tree lemma): |ts| - 1 lca calls instead of |ts|²/2."""
+    rank = {t: i for i, t in enumerate(td.postorder())}
+    seq = sorted(ts, key=rank.__getitem__)
+    return {td.lca(a, b, depth) for a, b in zip(seq, seq[1:])}
+
+
 def lca_closure(td: TreeDecomposition, b1: Iterable[NodeId]) -> frozenset:
     """b1, the root, and all pairwise lowest common ancestors."""
     marked = set(b1)
     unknown = marked - set(td.nodes)
     if unknown:
         raise InputError(f"unknown nodes {sorted(unknown)}")
-    depth = td.depths()
-    out = set(marked) | {td.root}
-    items = sorted(marked)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            out.add(td.lca(a, b, depth))
-    # one round of pairwise lcas closes the set; edge_components checks it
+    out = marked | {td.root} | _adjacent_lcas(td, marked, td.depths())
     assert len(out) <= 2 * len(marked) + 1
     return frozenset(out)
 
@@ -323,10 +335,8 @@ def edge_components(td: TreeDecomposition, b2: Iterable[NodeId]) -> list[EdgeCom
     if td.root not in marked:
         raise InputError("marked set must contain the root")
     depth = td.depths()
-    for a in sorted(marked):
-        for b in sorted(marked):
-            if td.lca(a, b, depth) not in marked:
-                raise InputError("marked set must be closed under lca")
+    if not _adjacent_lcas(td, marked, depth) <= marked:
+        raise InputError("marked set must be closed under lca")
     edges = td.tree_edges()
     idx = {e: i for i, e in enumerate(edges)}
     dsu = list(range(len(edges)))

@@ -94,6 +94,29 @@ class TestCli:
         report = last_json(capsys)
         assert report["valid"] is False and report["violations"]
 
+    def test_validate_td_validates_once(self, workdir, capsys, tmp_path, monkeypatch):
+        from kpath_kernel import cli, treedecomp
+
+        calls = []
+        real = treedecomp.validate
+
+        def counting(td):
+            calls.append(td)
+            return real(td)
+
+        monkeypatch.setattr(treedecomp, "validate", counting)
+        monkeypatch.setattr(cli, "td_validate", counting)
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        good = write(tmp_path / "good.td", write_td(compute_decomposition(g)))
+        assert main(["validate-td", "--graph", gfile, "--td", good]) == 0
+        assert last_json(capsys) == {
+            "valid": True,
+            "violations": [],
+            "stats": {"width": 1, "adhesion": 1, "adhesion_degree": 2},
+        }
+        assert len(calls) == 1
+
     def test_validate_td_rejects_unknown_bag_vertices(self, workdir, capsys, tmp_path):
         g = Graph.from_edges([1, 2], [(1, 2)])
         gfile = write(tmp_path / "g.gr", write_graph_text(g))
@@ -132,6 +155,8 @@ class TestCli:
             "p x 0\n",  # non-integer header
             "p 3 2\n1 2\n1 2\n",  # repeated edge
             "p 3 2\n1 2\n2 1\n",  # repeated edge, other orientation
+            "p 2 1\n1 1\n",  # self-loop
+            "p 2 1\n1 9\n",  # endpoint outside 1..n
         ],
     )
     def test_solve_rejects_malformed_graph(self, workdir, capsys, tmp_path, text):
@@ -186,6 +211,15 @@ class TestCli:
         f = write(tmp_path / "bad.json", text)
         assert main(["linkage", "solve", f]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("k_prime", ["2.5", "true"])
+    def test_linkage_solve_rejects_non_integer_k_prime(self, workdir, capsys, tmp_path, k_prime):
+        text = ('{"graph": {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3]]}, "k_prime": '
+                + k_prime + ', "terminals": [], "requests": [[]]}')
+        f = write(tmp_path / "bad.json", text)
+        assert main(["linkage", "solve", f]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "k_prime" in err["detail"]
 
     def test_module_entry_point(self, tmp_path):
         g = Graph.from_edges([1, 2], [(1, 2)])

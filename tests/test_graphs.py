@@ -69,6 +69,43 @@ class TestGraphBasics:
         assert g.m == 1
 
 
+class TestSortedAdjacency:
+    @staticmethod
+    def fresh(g):
+        return {v: tuple(sorted(g.neighbors(v))) for v in g.vertices}
+
+    def test_rebuilt_after_every_mutator(self):
+        g = Graph.from_edges([3, 1, 2], [(3, 1), (2, 3)])
+        snap = g.sorted_adjacency()
+        assert snap == {1: (3,), 2: (3,), 3: (1, 2)}
+        assert g.sorted_adjacency() is snap  # one snapshot per version
+        mutations = [
+            lambda: g._insert_vertex(7),
+            lambda: g.add_vertex(),
+            lambda: g.add_edge(1, 7),
+            lambda: g.add_edge(8, 2),
+            lambda: g.delete_edge(3, 1),
+            lambda: g.delete_vertex(2),
+            lambda: g.delete_vertices([8]),
+        ]
+        for mutate in mutations:
+            g.sorted_adjacency()
+            mutate()
+            assert g.sorted_adjacency() == self.fresh(g)
+
+    def test_not_shared_by_copies(self):
+        g = path_graph(4)
+        snap = g.sorted_adjacency()
+        h = g.copy()
+        sub = induced_subgraph(g, {1, 2, 3})
+        assert h.sorted_adjacency() is not snap
+        h.delete_vertex(4)
+        sub.add_edge(1, 3)
+        assert g.sorted_adjacency() is snap and snap == self.fresh(g)
+        assert h.sorted_adjacency() == self.fresh(h)
+        assert sub.sorted_adjacency() == {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+
+
 class TestInducedSubgraph:
     def test_triangle_restriction(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3), (1, 3)])

@@ -66,6 +66,16 @@ class TestInstanceValidation:
         with pytest.raises(InputError):
             LinkageInstance(g, -1, frozenset(), ()).validate()
 
+    @pytest.mark.parametrize("k_prime", [2.5, 2.0, True, "2", None])
+    def test_non_integer_budget_rejected(self, k_prime):
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        with pytest.raises(InputError):
+            LinkageInstance(g, k_prime, frozenset(), (frozenset(),)).validate()
+        data = instance_to_json(LinkageInstance(g, 2, frozenset(), (frozenset(),)))
+        data["k_prime"] = k_prime
+        with pytest.raises(InputError):
+            instance_from_json(json.loads(json.dumps(data)))
+
 
 class TestSolveLinkage:
     def test_plain_k_path_question(self):
@@ -162,6 +172,29 @@ class TestBruteForceLinkage:
             assert (a is None) == (b is None), instance_to_json(inst)
             if a is not None:
                 assert validate_solution(inst, a) and validate_solution(inst, b)
+
+    def test_agrees_with_solver_when_some_terminals_are_unnamed(self):
+        rng = random.Random(5)
+        yes = 0
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            verts = sorted(g.vertices)
+            unnamed = set(rng.sample(verts, rng.randint(1, max(1, n // 3))))
+            rest = [v for v in verts if v not in unnamed]
+            named = rng.sample(rest, min(len(rest), rng.randint(0, 3)))
+            reqs = []
+            for _ in range(rng.randint(1, 3)):
+                reqs.append(frozenset(rng.sample(named, min(len(named), rng.choice([0, 1, 2])))))
+            inst = LinkageInstance(g, rng.randint(0, 7), frozenset(unnamed | set(named)), tuple(reqs))
+            assert unnamed.isdisjoint(frozenset().union(*inst.requests))
+            a = solve_linkage(inst)
+            b = brute_force_linkage(inst)
+            assert (a is None) == (b is None), instance_to_json(inst)
+            if a is not None:
+                yes += 1
+                assert validate_solution(inst, a) and not unnamed & set().union(*a)
+        assert yes >= 30
 
     def test_edge_monotonicity_of_yes(self):
         rng = random.Random(9)

@@ -12,7 +12,7 @@ from kpath_kernel.graphs import (
     iter_k_paths,
     traverses,
 )
-from kpath_kernel.linkage import solve_linkage
+from kpath_kernel.linkage import LinkageInstance, solve_linkage
 from kpath_kernel.modulator import (
     build_component_context,
     build_path_families,
@@ -119,6 +119,34 @@ class TestFindUvkPath:
             find_uvk_path(g, {1}, 2, None, 1)
         with pytest.raises(InputError):
             find_uvk_path(g, {1, 2}, 1, 2, 1, forbidden={2})
+
+    def test_matches_the_restricted_subgraph_formulation(self):
+        def reference(g, mset, u, v, kp, forb):
+            ends = {u} if v is None else {u, v}
+            sub = induced_subgraph(g, (ends | (set(g.vertices) - set(mset))) - set(forb))
+            terms = frozenset(ends)
+            sol = solve_linkage(LinkageInstance(sub, kp + len(terms), terms, (terms,)))
+            if sol is None:
+                return None
+            return sol[0] if sol[0][0] == u else tuple(reversed(sol[0]))
+
+        rng = random.Random(41)
+        found = 0
+        for _ in range(150):
+            inst = small_modulator_instance(rng, max_n=14, max_ell=3)
+            g, mods = inst.graph, sorted(inst.modulator)
+            if not mods:
+                continue
+            core = sorted(set(g.vertices) - inst.modulator)
+            u = rng.choice(mods)
+            others = [w for w in mods if w != u]
+            v = rng.choice(others) if others and rng.random() < 0.6 else None
+            forb = set(rng.sample(core, rng.randint(0, min(3, len(core)))))
+            kp = rng.randint(0, 5)
+            got = find_uvk_path(g, inst.modulator, u, v, kp, forb)
+            assert got == reference(g, inst.modulator, u, v, kp, forb)
+            found += got is not None
+        assert found >= 20
 
 
 class TestBuildPathFamilies:

@@ -387,6 +387,25 @@ class TestLcaClosure:
                     assert td.lca(a, b, depth) in out
             assert len(out) <= 2 * len(b1) + 1
 
+    def test_matches_brute_pairwise_closure(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            td = shuffled_tree(rng, rng.randint(1, 30))
+            nodes = sorted(td.nodes)
+            b1 = set(rng.sample(nodes, rng.randint(0, min(8, len(nodes)))))
+            depth = td.depths()
+            brute = b1 | {td.root} | {td.lca(a, b, depth) for a in b1 for b in b1}
+            assert lca_closure(td, b1) == frozenset(brute)
+
+
+def shuffled_tree(rng, size):
+    """A random rooted tree whose node ids follow no traversal order."""
+    ids = rng.sample(range(1, 3 * size + 1), size)
+    parent = {ids[0]: None}
+    for i in range(1, size):
+        parent[ids[i]] = ids[rng.randrange(i)]
+    return TreeDecomposition(Graph.from_edges([1]), ids[0], parent, {t: {1} for t in ids})
+
 
 class TestEdgeComponents:
     def chain(self, length):
@@ -419,6 +438,30 @@ class TestEdgeComponents:
         td = self.chain(3)
         with pytest.raises(InputError):
             edge_components(td, {2})
+
+    def test_rejects_root_containing_set_not_closed(self):
+        # 4 and 6 hang below 2, 5 below 3: the lca of 4 and 6 is missing,
+        # although no two marked nodes adjacent in id order lack their lca
+        g = Graph.from_edges([1])
+        parent = {1: None, 2: 1, 3: 1, 4: 2, 5: 3, 6: 2}
+        td = TreeDecomposition(g, 1, parent, {t: {1} for t in parent})
+        with pytest.raises(InputError, match="closed under lca"):
+            edge_components(td, {1, 4, 5, 6})
+        assert len(edge_components(td, {1, 2, 4, 5, 6})) == 4
+
+    def test_accepts_exactly_the_closed_sets(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            td = shuffled_tree(rng, rng.randint(1, 20))
+            nodes = sorted(td.nodes)
+            marked = set(rng.sample(nodes, rng.randint(0, min(6, len(nodes))))) | {td.root}
+            depth = td.depths()
+            closed = all(td.lca(a, b, depth) in marked for a in marked for b in marked)
+            if closed:
+                edge_components(td, marked)
+            else:
+                with pytest.raises(InputError, match="closed under lca"):
+                    edge_components(td, marked)
 
     def test_partition_and_anchor_invariants(self):
         rng = random.Random(31)
