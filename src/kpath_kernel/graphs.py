@@ -35,7 +35,7 @@ class Graph:
         return g
 
     def _insert_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise InputError(f"vertex ids are positive integers, got {v!r}")
         if v in self._adj:
             raise InputError(f"duplicate vertex {v}")
@@ -363,6 +363,109 @@ def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> li
     return comps
 
 
+def has_matching(g: Graph, avoid, size: int) -> bool:
+    """Does G - avoid have a matching of ``size`` edges?
+
+    A greedy pass answers most yes-instances on its own. When it falls
+    short, Edmonds' augmenting-path search with blossom shrinking (*Paths,
+    trees, and flowers*, 1965) grows the greedy matching one exposed root
+    at a time. A root whose search fails never gains an augmenting path
+    later, so it is dropped for good, and the search stops once the
+    matching reaches ``size`` or the exposed roots still untried cannot
+    lift it there.
+    """
+    if size <= 0:
+        return True
+    adj = g.sorted_adjacency()
+    mate: dict[int, int] = {}
+    matched = 0
+    for v, nbrs in adj.items():
+        if v in avoid or v in mate:
+            continue
+        for w in nbrs:
+            if w not in mate and w not in avoid:
+                mate[v], mate[w] = w, v
+                matched += 1
+                if matched == size:
+                    return True
+                break
+    roots = [v for v in adj if v not in avoid and v not in mate]
+    left = len(roots)  # exposed vertices not yet dropped
+    for root in roots:
+        if root in mate:
+            continue  # matched as the far end of an earlier augmenting path
+        if matched + left // 2 < size:
+            return False
+        if _augment(adj, avoid, mate, root):
+            matched += 1
+            left -= 2
+            if matched == size:
+                return True
+        else:
+            left -= 1
+    return False
+
+
+def _augment(adj: dict, avoid, mate: dict[int, int], root: int) -> bool:
+    """One Edmonds search from the exposed ``root``: grow an alternating
+    tree, shrinking each odd cycle into its base, and flip ``mate`` along
+    the first augmenting path found. All state lives in dicts keyed by the
+    tree's own vertices, so a search costs nothing outside its tree."""
+    base = {root: root}  # every tree vertex -> the base of its blossom
+    parent: dict[int, int] = {}  # odd vertices, and even ones inside a blossom
+    outer = {root}
+    queue = [root]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for to in adj[v]:
+            if to in avoid or base[v] == base.get(to, to) or mate.get(v) == to:
+                continue
+            if to == root or (to in mate and mate[to] in parent):
+                # an edge between two outer vertices closes an odd cycle
+                on_root_path = set()
+                a = v
+                while True:
+                    a = base[a]
+                    on_root_path.add(a)
+                    if a == root:
+                        break
+                    a = parent[mate[a]]
+                b = to
+                while base[b] not in on_root_path:
+                    b = parent[mate[base[b]]]
+                top = base[b]
+                blossom: set[int] = set()
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != top:
+                        blossom.add(base[x])
+                        blossom.add(base[mate[x]])
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for x in base:
+                    if base[x] in blossom:
+                        base[x] = top
+                        if x not in outer:
+                            outer.add(x)
+                            queue.append(x)
+            elif to not in parent:
+                parent[to] = v
+                if to not in mate:
+                    while to is not None:
+                        pv = parent[to]
+                        nxt = mate.get(pv)
+                        mate[to], mate[pv] = pv, to
+                        to = nxt
+                    return True
+                w = mate[to]
+                base[to], base[w] = to, w
+                outer.add(w)
+                queue.append(w)
+    return False
+
+
 def small_separators(g: Graph, h: int, budget: int) -> Iterator[set[int]]:
     """Every vertex set of size at most h, smallest first, then in
     lexicographic order of the sorted vertices. Raises NotApplicableError
@@ -402,8 +505,9 @@ def parse_int(token: str, lineno: int) -> int:
 
 def read_graph_text(text: str) -> Graph:
     """Parse the text format of ``write_graph_text``. Rejects non-integer
-    tokens, an edge given twice, in either orientation, a self-loop and an
-    endpoint outside 1..n, each with its line number."""
+    tokens, a negative header count, an edge given twice, in either
+    orientation, a self-loop and an endpoint outside 1..n, each with its
+    line number."""
     n = m = None
     edges: dict[tuple[int, int], tuple[int, int, int]] = {}  # (min, max) -> as written, line
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -417,6 +521,8 @@ def read_graph_text(text: str) -> Graph:
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: malformed header")
             n, m = parse_int(parts[1], lineno), parse_int(parts[2], lineno)
+            if n < 0 or m < 0:
+                raise InputError(f"line {lineno}: negative count in header")
         else:
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected an edge line")

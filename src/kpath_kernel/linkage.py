@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, NotApplicableError, OracleFaultError
-from .graphs import Graph, Path, connected_components, is_simple_path
+from .graphs import Graph, Path, connected_components, has_matching, is_simple_path
 
 Request = frozenset
 Solution = list  # list[Path], aligned with the instance's request order
@@ -72,11 +72,15 @@ def validate_solution(inst: LinkageInstance, sol: Optional[Sequence[Path]]) -> b
 def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> Optional[Solution]:
     """Exact branch-and-bound search.
 
-    Requests are processed most-constrained first (pairs, then single
-    endpoints, then free paths). The search tracks the number of
-    non-terminal vertices still to be placed; branches are cut when that
-    budget cannot be met by the remaining requests or when a pair's
-    endpoints are no longer connected through unused non-terminals.
+    Counting rules out what it can before any search: the instance needs
+    enough non-terminals, and G - T needs a matching of
+    ceil((k' - |union of requests| - #requests) / 2) edges (for the plain
+    k-path question, k <= 2*nu(G) + 1). Requests are then processed
+    most-constrained first (pairs, then single endpoints, then free
+    paths). The search tracks the number of non-terminal vertices still
+    to be placed; branches are cut when that budget cannot be met by the
+    remaining requests or when a pair's endpoints are no longer connected
+    through unused non-terminals.
     Exceeding ``node_budget`` expansions raises, it never mis-answers.
     """
     inst.validate()
@@ -92,6 +96,10 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
         return None
     pool_size = g.n - len(terms)  # the non-terminals, which paths may use
     if free_total > pool_size:
+        return None
+    # each request's non-terminal segment is a path of c vertices in G - T,
+    # which holds floor(c/2) >= (c-1)/2 disjoint edges
+    if not has_matching(g, terms, (free_total - nreq + 1) // 2):
         return None
     adj = g.sorted_adjacency()
 
@@ -456,15 +464,25 @@ def instance_to_json(inst: LinkageInstance) -> dict:
     }
 
 
+def _vertex_ids(items, what: str) -> list:
+    """The ids of a JSON list; a float equal to an integer, or a bool, is
+    not a vertex id, though it would hash like one."""
+    ids = list(items)
+    for v in ids:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InputError(f"{what} vertex ids are integers, got {v!r}")
+    return ids
+
+
 def instance_from_json(data: dict) -> LinkageInstance:
     try:
         gd = data["graph"]
-        g = Graph.from_edges(gd["vertices"], [tuple(e) for e in gd["edges"]])
+        g = Graph.from_edges(gd["vertices"], [tuple(_vertex_ids(e, "edge")) for e in gd["edges"]])
         inst = LinkageInstance(
             g,
             data["k_prime"],
-            frozenset(data["terminals"]),
-            tuple(frozenset(r) for r in data["requests"]),
+            frozenset(_vertex_ids(data["terminals"], "terminal")),
+            tuple(frozenset(_vertex_ids(r, "request")) for r in data["requests"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed linkage instance: {exc}") from exc

@@ -248,7 +248,7 @@ def build_component_context(
 
 
 def _component_candidates(
-    k: int, eta: int, s_d: frozenset, terminals: frozenset
+    k: int, eta: int, s_d: frozenset, terminals: frozenset, interior: int
 ) -> list[tuple[int, tuple[frozenset, ...]]]:
     """Candidate (k', requests) pairs for one component.
 
@@ -256,7 +256,9 @@ def _component_candidates(
     boundary or the modulator. A well-behaved k-path induces at most
     min(4*eta+4, k) requests, each of whose paths owns at least one interior
     vertex, so patterns with r + |union of requests| > k' can never arise
-    and are skipped.
+    and are skipped. The paths' other vertices are among the ``interior``
+    ones, |v_d - s_d|, so k' stops at |union of requests| + interior: a
+    larger k' is a no the solver would give by counting alone.
     """
     ordered = _request_universe(s_d, terminals)
     rmax = min(4 * eta + 4, k)
@@ -278,10 +280,10 @@ def _component_candidates(
 
     grow(0, [], frozenset())
     out: list[tuple[int, tuple[frozenset, ...]]] = []
-    for kp in range(k + 1):
+    for kp in range(min(k, interior) + 1):
         out.append((kp, (frozenset(),)))
     for pat, usize in patterns:
-        for kp in range(len(pat) + usize, k + 1):
+        for kp in range(len(pat) + usize, min(k, usize + interior) + 1):
             out.append((kp, pat))
     return out
 
@@ -303,7 +305,8 @@ def reduce_component(
     solver = counting_oracle(oracle, stats)
     terminals = frozenset(ctx.s_d | inst.modulator)
     marked: set[int] = set()
-    for kp, pattern in _component_candidates(inst.k, inst.eta, ctx.s_d, terminals):
+    interior = len(ctx.v_d - ctx.s_d)
+    for kp, pattern in _component_candidates(inst.k, inst.eta, ctx.s_d, terminals, interior):
         sol = solver(LinkageInstance(ctx.g_d, kp, terminals, pattern))
         if sol is not None:
             for p in sol:

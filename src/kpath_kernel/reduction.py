@@ -110,6 +110,10 @@ def apply_reduction(
     instance over G[N[A]], mark all witness vertices, delete the unmarked
     part of A. Applicable only when |A| exceeds k * p_bound(k, l, h), which
     guarantees at least one deletion.
+
+    Unlike ``reduce_component``, no candidate needs a k' cap: every
+    candidate has k' <= k < |A|, and A is exactly the non-terminal pool of
+    G[N[A]], so no candidate asks for more free vertices than A holds.
     """
     ell, h = len(gr.boundary), len(gr.guard)
     threshold = gr.k * p_bound(gr.k, ell, h)

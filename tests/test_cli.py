@@ -157,6 +157,8 @@ class TestCli:
             "p 3 2\n1 2\n2 1\n",  # repeated edge, other orientation
             "p 2 1\n1 1\n",  # self-loop
             "p 2 1\n1 9\n",  # endpoint outside 1..n
+            "p -3 0\n",  # negative vertex count
+            "p 3 -1\n",  # negative edge count
         ],
     )
     def test_solve_rejects_malformed_graph(self, workdir, capsys, tmp_path, text):
@@ -220,6 +222,27 @@ class TestCli:
         assert main(["linkage", "solve", f]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InputError" and "k_prime" in err["detail"]
+
+    @pytest.mark.parametrize(
+        "edges, terminals, requests",
+        [
+            ("[[1.0, 2], [2, 3]]", "[1.0]", "[[1.0]]"),
+            ("[[1, 2], [2, 3]]", "[1.0]", "[[1]]"),
+            ("[[1, 2], [2, 3]]", "[1]", "[[1.0]]"),
+            ("[[true, 2], [2, 3]]", "[1]", "[[1]]"),
+            ("[[1, 2], [2, 3]]", "[true]", "[[1]]"),
+            ("[[1, 2], [2, 3]]", "[1]", "[[true]]"),
+        ],
+    )
+    def test_linkage_solve_rejects_non_integer_vertex_id(
+        self, workdir, capsys, tmp_path, edges, terminals, requests
+    ):
+        text = ('{"graph": {"vertices": [1, 2, 3], "edges": ' + edges + '}, "terminals": '
+                + terminals + ', "requests": ' + requests + ', "k_prime": 3}')
+        f = write(tmp_path / "bad.json", text)
+        assert main(["linkage", "solve", f]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError" and "vertex" in err["detail"]
 
     def test_module_entry_point(self, tmp_path):
         g = Graph.from_edges([1, 2], [(1, 2)])

@@ -11,6 +11,7 @@ from kpath_kernel.graphs import (
     brute_force_k_path,
     check_separation,
     closed_neighborhood,
+    has_matching,
     induced_subgraph,
     is_guarded,
     open_neighborhood,
@@ -50,6 +51,13 @@ class TestGraphBasics:
         g = Graph.from_edges([1, 2])
         with pytest.raises(InputError):
             g.add_edge(1, 1)
+
+    @pytest.mark.parametrize("v", [True, 1.0, 0, -2])
+    def test_vertex_ids_are_positive_ints(self, v):
+        g = Graph()
+        with pytest.raises(InputError):
+            g._insert_vertex(v)
+        assert g.n == 0
 
     def test_unknown_endpoint_rejected(self):
         g = Graph.from_edges([1, 2])
@@ -265,6 +273,91 @@ class TestBruteForceKPath:
                 assert found in expected
 
 
+def matching_number(g, avoid=()):
+    """nu(G - avoid) by networkx, the independent reference."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(v for v in g.vertices if v not in avoid)
+    h.add_edges_from((u, v) for u, v in g.edges() if u not in avoid and v not in avoid)
+    return len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def assert_matching_threshold(g, avoid=frozenset()):
+    nu = matching_number(g, avoid)
+    for size in range(max(0, nu - 2), nu + 3):
+        assert has_matching(g, avoid, size) == (size <= nu), (sorted(g.edges()), sorted(avoid), size)
+    return nu
+
+
+def cycle(n, first=1):
+    vs = range(first, first + n)
+    return [(v, v + 1) for v in vs[:-1]] + [(vs[-1], first)]
+
+
+class TestHasMatching:
+    def test_random_graphs_with_avoided_vertices(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
+            avoid = frozenset(rng.sample(sorted(g.vertices), rng.randint(0, n // 3)))
+            assert_matching_threshold(g, avoid)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_odd_cycles(self, n):
+        g = Graph.from_edges(range(1, n + 1), cycle(n))
+        assert assert_matching_threshold(g) == n // 2
+
+    def test_petersen_graph(self):
+        outer = cycle(5)
+        spokes = [(v, v + 5) for v in range(1, 6)]
+        inner = [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+        g = Graph.from_edges(range(1, 11), outer + spokes + inner)
+        assert assert_matching_threshold(g) == 5
+        assert assert_matching_threshold(g, frozenset({1})) == 4
+
+    def test_triangle_with_pendants(self):
+        # greedy matches 1-2 and 3-6, stranding the pendants 4 and 5
+        g = Graph.from_edges(range(1, 7), cycle(3) + [(1, 4), (2, 5), (3, 6)])
+        assert assert_matching_threshold(g) == 3
+        assert assert_matching_threshold(g, frozenset({3})) == 2
+
+    def test_two_triangles_joined_by_a_path(self):
+        edges = cycle(3) + cycle(3, first=6) + [(3, 4), (4, 5), (5, 6), (1, 9), (8, 10)]
+        g = Graph.from_edges(range(1, 11), edges)
+        assert assert_matching_threshold(g) == 5
+
+    def test_blossoms_in_every_vertex_order(self):
+        # a pendant on each of two odd cycles sharing a path: each relabelling
+        # leaves the greedy pass a different matching to repair
+        edges = cycle(5) + [(3, 6), (6, 7), (7, 8), (8, 9), (9, 6), (1, 10), (8, 11)]
+        rng = random.Random(3)
+        for _ in range(60):
+            perm = list(range(1, 12))
+            rng.shuffle(perm)
+            relabel = dict(zip(range(1, 12), perm))
+            g = Graph.from_edges(range(1, 12), [(relabel[u], relabel[v]) for u, v in edges])
+            assert assert_matching_threshold(g) == 5
+
+    def test_large_star(self):
+        g = Graph.from_edges(range(1, 401), [(1, v) for v in range(2, 401)])
+        assert has_matching(g, (), 1) and not has_matching(g, (), 2)
+        assert not has_matching(g, {1}, 1)
+
+    @pytest.mark.parametrize("ell", [1, 4, 6])
+    def test_edgeless_core_with_hubs(self, ell):
+        g = Graph.from_edges(range(1, ell + 61))
+        for h in range(1, ell + 1):
+            for c in range(ell + 1, ell + 61):
+                g.add_edge(h, c)
+        assert has_matching(g, (), ell) and not has_matching(g, (), ell + 1)
+        assert not has_matching(g, {1}, ell)
+
+    def test_nonpositive_size_is_always_met(self):
+        g = Graph.from_edges([1])
+        assert has_matching(g, (), 0) and has_matching(g, {1}, -3)
+
+
 class TestGraphTextFormat:
     def test_round_trip_is_idempotent(self):
         rng = random.Random(5)
@@ -279,6 +372,11 @@ class TestGraphTextFormat:
         assert g.n == 3 and g.m == 1
         with pytest.raises(InputError):
             read_graph_text("p 3 2\n1 2\n")
+
+    @pytest.mark.parametrize("text", ["p -3 0\n", "p 3 -1\n", "c x\np 0 -1\n"])
+    def test_negative_header_counts_rejected(self, text):
+        with pytest.raises(InputError, match="line "):
+            read_graph_text(text)
 
     # whole lines that parse, mixed with lines of arbitrary tokens
     _line = st.one_of(

@@ -10,7 +10,8 @@ from kpath_kernel.errors import (
     NotApplicableError,
     OracleFaultError,
 )
-from kpath_kernel.graphs import Graph
+from kpath_kernel import linkage
+from kpath_kernel.graphs import Graph, is_simple_path
 from kpath_kernel.linkage import (
     LinkageInstance,
     OracleStats,
@@ -121,6 +122,77 @@ class TestSolveLinkage:
         g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
         inst = LinkageInstance(g, 3, frozenset({2}), (frozenset(),))
         assert solve_linkage(inst) is None
+
+
+def hubs_graph(ell, core, rng=None, p=1.0):
+    """ell hubs 1..ell joined to an edgeless core ell+1..ell+core (each
+    hub-core edge kept with probability p); every edge touches a hub."""
+    g = Graph.from_edges(range(1, ell + core + 1))
+    for h in range(1, ell + 1):
+        for c in range(ell + 1, ell + core + 1):
+            if rng is None or rng.random() < p:
+                g.add_edge(h, c)
+    return g
+
+
+def sparse_graph(rng, kind):
+    n = rng.randint(3, 11)
+    if kind == "hubs":
+        ell = rng.randint(1, 3)
+        g = hubs_graph(ell, n - ell, rng, 0.6)
+        for a, b in itertools.combinations(range(1, ell + 1), 2):
+            if rng.random() < 0.3:
+                g.add_edge(a, b)
+        return g
+    edges = {
+        "star": [(1, v) for v in range(2, n + 1)],
+        "matching": [(v, v + 1) for v in range(1, n, 2)],
+        "path": [(v, v + 1) for v in range(1, n)],
+    }[kind]
+    return Graph.from_edges(range(1, n + 1), edges)
+
+
+class TestMatchingPreCheck:
+    def test_edgeless_core_no_instance_needs_no_search(self):
+        # every edge touches one of 4 hubs, so nu = 4 and a k-path has k <= 9;
+        # with a zero expansion budget any search would raise
+        g = hubs_graph(4, 25)
+        assert solve_linkage(LinkageInstance(g, 10, frozenset(), (frozenset(),)), node_budget=0) is None
+        path = solve_linkage(LinkageInstance(g, 9, frozenset(), (frozenset(),)))[0]
+        assert len(path) == 9 and is_simple_path(g, path)
+
+    def test_agrees_with_brute_force_where_the_bound_fires(self, monkeypatch):
+        real = linkage.has_matching
+        decided = []
+
+        def counting(g, avoid, size):
+            ok = real(g, avoid, size)
+            if not ok:
+                decided.append(size)
+            return ok
+
+        monkeypatch.setattr(linkage, "has_matching", counting)
+        rng = random.Random(20261018)
+        kinds = set()
+        yes = 0
+        for trial in range(600):
+            g = sparse_graph(rng, ("hubs", "star", "matching", "path")[trial % 4])
+            verts = sorted(g.vertices)
+            terms = rng.sample(verts, rng.randint(0, 3))
+            named = terms[: rng.randint(0, len(terms))]  # the rest are unnamed
+            reqs = []
+            for _ in range(rng.randint(1, 3)):
+                reqs.append(frozenset(rng.sample(named, min(len(named), rng.choice([0, 1, 2])))))
+            kinds.update(len(r) for r in reqs)
+            inst = LinkageInstance(g, rng.randint(g.n // 3, g.n), frozenset(terms), tuple(reqs))
+            a = solve_linkage(inst)
+            b = brute_force_linkage(inst)
+            assert (a is None) == (b is None), instance_to_json(inst)
+            if a is not None:
+                yes += 1
+                assert validate_solution(inst, a)
+        assert kinds == {0, 1, 2}
+        assert len(decided) >= 80 and yes >= 200
 
 
 class TestValidateSolution:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -277,6 +278,57 @@ class TestReduceComponent:
                     if deleted:
                         reduced += 1
         assert reduced > 5
+
+
+def uncapped_reduction(inst, ctx):
+    """Reference for reduce_component with every k' <= k asked: the deleted
+    set and the number of oracle calls."""
+    k = inst.k
+    terminals = frozenset(ctx.s_d | inst.modulator)
+    singles = {frozenset({z}) for z in ctx.s_d}
+    pairs = {frozenset({z, b}) for z in ctx.s_d for b in terminals if b != z}
+    universe = sorted(singles | pairs, key=lambda r: (len(r), sorted(r)))
+    candidates = [(kp, (frozenset(),)) for kp in range(k + 1)]
+    for r in range(1, min(4 * inst.eta + 4, k) + 1):
+        for pat in itertools.combinations_with_replacement(universe, r):
+            for kp in range(r + len(frozenset().union(*pat)), k + 1):
+                candidates.append((kp, pat))
+    marked = set()
+    for kp, pat in candidates:
+        sol = solve_linkage(LinkageInstance(ctx.g_d, kp, terminals, pat))
+        for p in sol or ():
+            marked.update(p)
+    return frozenset(set(ctx.v_d) - marked - set(ctx.s_d)), len(candidates)
+
+
+class TestComponentCandidateCap:
+    def test_same_deletions_as_the_uncapped_loop_with_fewer_calls(self):
+        rng = random.Random(20261018)
+        compared = fewer = reduced = 0
+        for _ in range(40):
+            inst = small_modulator_instance(rng, max_n=16, max_k=4)
+            for m in (3, 5):
+                for ctx in TestReduceComponent()._contexts(inst, m):
+                    _, deleted, stats = reduce_component(inst, ctx, m, solve_linkage)
+                    ref_deleted, ref_calls = uncapped_reduction(inst, ctx)
+                    assert deleted == ref_deleted
+                    assert stats.calls <= ref_calls
+                    fewer += stats.calls < ref_calls
+                    reduced += bool(deleted)
+                    compared += 1
+        assert compared > 30 and fewer >= 5 and reduced >= 5
+
+    def test_component_oracle_calls_bound_still_holds(self):
+        rng = random.Random(20261018)
+        audited = 0
+        for _ in range(15):
+            inst = small_modulator_instance(rng, max_n=16, max_k=4, max_eta=1, max_ell=2)
+            run = modulator_kernelize(inst, solve_linkage, m_override=4)
+            for c in run.bound_checks:
+                if c.name == "component_oracle_calls":
+                    assert c.passed, c
+                    audited += 1
+        assert audited > 5
 
 
 class TestLemmaNeatProperty:
