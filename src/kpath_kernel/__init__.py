@@ -50,11 +50,11 @@ from .treedecomp import (
     write_td,
 )
 from .reduction import (
-    CandidateInstance,
     GuardedRegion,
     apply_reduction,
     enumerate_candidates,
     make_guarded_region,
+    mark_and_delete,
     p_bound,
 )
 from .separation import (

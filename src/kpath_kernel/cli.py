@@ -14,7 +14,7 @@ from functools import partial
 
 from . import __version__
 from .driver import kernelize
-from .errors import KPathError, SuiteFailure
+from .errors import InputError, KPathError, SuiteFailure
 from .generate import KINDS, GeneratorSpec, generate
 from .graphs import brute_force_k_path, parse_int, read_graph_text, vertex_index, write_graph_text
 from .linkage import brute_force_linkage, load_instance, solve_linkage
@@ -87,6 +87,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.k < 1:
+        raise InputError("k must be >= 1")
     g = _read_graph(args.graph)
     if args.method == "bruteforce":
         path = brute_force_k_path(g, args.k, cap=args.cap)
@@ -156,6 +158,8 @@ def cmd_validate_td(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if args.count < 1:
+        raise InputError("count must be >= 1")
     cfg = SuiteConfig(
         count=args.count,
         seed=args.seed,

@@ -90,6 +90,7 @@ def kernelize(
     p_threshold = k * p_bound(k, h, h)
     p_ask = p_threshold + h
     stats = OracleStats()
+    solver = counting_oracle(oracle, stats)
     checks: list[BoundCheck] = []
     work = g.copy()
     n0 = g.n
@@ -122,7 +123,7 @@ def kernelize(
             raise ProtocolError("separation does not enclose the region")
         gr = make_guarded_region(work, region, k, guard)
         before = stats.calls
-        work, deleted, _ = apply_reduction(work, gr, oracle, stats=stats)
+        work, deleted = apply_reduction(work, gr, solver)
         steps += 1
         checks.append(
             BoundCheck.le(
@@ -138,7 +139,7 @@ def kernelize(
             on_step(work, deleted)
 
     final = LinkageInstance(work, k, frozenset(), (frozenset(),))
-    answer = counting_oracle(oracle, stats)(final) is not None
+    answer = solver(final) is not None
     checks.append(BoundCheck.le("total_oracle_calls", stats.calls, p_bound(k, h, h) * n0 + 1))
     checks.append(BoundCheck.le("reduction_steps", steps, n0))
     checks.append(BoundCheck.le("p_threshold_vs_k2_h_hat", p_threshold, k * k * h_hat))

@@ -244,85 +244,59 @@ def is_guarded(g: Graph, p: Iterable[int], a: Iterable[int], z: Iterable[int]) -
 
 
 def brute_force_k_path(g: Graph, k: int, cap: int = 32) -> Optional[Path]:
-    """Exhaustive search for a simple path on exactly k vertices.
-
-    DFS over partial paths, pruning a branch when the vertices still
-    reachable from its head cannot complete the path. Reference oracle;
-    capped at ``cap`` vertices.
-    """
-    if k < 1:
-        raise InputError("k must be >= 1")
+    """The first path ``iter_k_paths`` yields, or None. Reference oracle;
+    capped at ``cap`` vertices."""
     if g.n > cap:
         raise NotApplicableError(f"graph has {g.n} > {cap} vertices")
-    if k > g.n:
-        return None
-    verts = sorted(g.vertices)
-    if k == 1:
-        return (verts[0],)
-    adj = {v: sorted(g.neighbors(v)) for v in verts}
-    on_path: set[int] = set()
-    path: list[int] = []
-
-    def reach_count(x: int) -> int:
-        seen = {x}
-        stack = [x]
-        cnt = 0
-        while stack:
-            y = stack.pop()
-            for w in adj[y]:
-                if w not in seen and w not in on_path:
-                    seen.add(w)
-                    cnt += 1
-                    stack.append(w)
-        return cnt
-
-    def dfs(x: int) -> bool:
-        if len(path) == k:
-            return True
-        if reach_count(x) < k - len(path):
-            return False
-        for w in adj[x]:
-            if w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                if dfs(w):
-                    return True
-                path.pop()
-                on_path.remove(w)
-        return False
-
-    for s in verts:
-        path = [s]
-        on_path = {s}
-        if dfs(s):
-            return tuple(path)
-    return None
+    return next(iter_k_paths(g, k), None)
 
 
 def iter_k_paths(g: Graph, k: int) -> Iterator[Path]:
-    """Yield every simple path on exactly k vertices (each direction once)."""
+    """Yield every simple path on exactly k vertices (each direction once).
+
+    Explicit-stack DFS over partial paths, from each start vertex and over
+    neighbours in ascending order. A branch is cut when the vertices still
+    reachable from its head cannot complete the path; that cuts only
+    branches with no path below them, so the paths and their order are
+    those of the unpruned search.
+    """
     if k < 1:
         raise InputError("k must be >= 1")
-    verts = sorted(g.vertices)
-    if k == 1:
-        yield from ((v,) for v in verts)
-        return
-    adj = {v: sorted(g.neighbors(v)) for v in verts}
+    adj = {v: sorted(g.neighbors(v)) for v in sorted(g.vertices)}
 
-    def dfs(path: list[int], on_path: set[int]):
-        if len(path) == k:
-            yield tuple(path)
-            return
-        for w in adj[path[-1]]:
-            if w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                yield from dfs(path, on_path)
-                path.pop()
-                on_path.remove(w)
+    def reach_count(x: int, on_path: set[int]) -> int:
+        seen = {x}
+        stack = [x]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen and w not in on_path:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) - 1
 
-    for s in verts:
-        yield from dfs([s], {s})
+    for s in adj:
+        path, on_path = [s], {s}
+        branches: list[Iterator[int]] = []
+        while True:
+            # the path has just grown to its current head
+            need = k - len(path)
+            if need == 0:
+                yield tuple(path)
+            # on backtracking to a level, on_path is as it was here, so the
+            # free neighbours can be listed once
+            grow = need > 0 and reach_count(path[-1], on_path) >= need
+            free = [w for w in adj[path[-1]] if w not in on_path] if grow else []
+            branches.append(iter(free))
+            while branches:
+                w = next(branches[-1], None)
+                if w is not None:
+                    break
+                branches.pop()
+                on_path.remove(path.pop())
+            if not branches:
+                break
+            path.append(w)
+            on_path.add(w)
 
 
 def reachable(g: Graph, start: int, allowed: Iterable[int]) -> set[int]:

@@ -429,7 +429,7 @@ class OracleStats:
         self.calls = 0
         self.max_instance_vertices = 0
 
-    def record(self, vertices: int, k_prime: int, requests: int, answered_yes: bool) -> None:
+    def record(self, vertices: int) -> None:
         with self._lock:
             self.calls += 1
             self.max_instance_vertices = max(self.max_instance_vertices, vertices)
@@ -446,7 +446,7 @@ def counting_oracle(inner: LinkageSolver, stats: OracleStats) -> LinkageSolver:
 
     def solver(inst: LinkageInstance) -> Optional[Solution]:
         ans = inner(inst)
-        stats.record(inst.graph.n, inst.k_prime, len(inst.requests), ans is not None)
+        stats.record(inst.graph.n)
         return ans
 
     return solver

@@ -17,7 +17,7 @@ from .errors import InputError, NotApplicableError
 from .graphs import Graph, Path, induced_subgraph, open_neighborhood, reachable
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, solve_linkage
 from .driver import BoundCheck
-from .reduction import _request_universe
+from .reduction import _request_universe, mark_and_delete
 from .treedecomp import (
     EdgeComponent,
     TreeDecomposition,
@@ -40,9 +40,7 @@ class ModulatorInstance:
     eta: int
 
 
-def make_modulator_instance(
-    g: Graph, k: int, modulator, eta: int, exact_cap: int = 30
-) -> ModulatorInstance:
+def make_modulator_instance(g: Graph, k: int, modulator, eta: int) -> ModulatorInstance:
     """Verify treewidth(G - M) <= eta before accepting the instance."""
     mset = frozenset(modulator)
     if not mset <= set(g.vertices):
@@ -51,7 +49,7 @@ def make_modulator_instance(
         raise InputError("need k >= 1 and eta >= 0")
     core = set(g.vertices) - mset
     if core:
-        td = compute_decomposition(induced_subgraph(g, core), exact_cap=exact_cap)
+        td = compute_decomposition(induced_subgraph(g, core))
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
             raise InputError(f"G - M has width {width} > eta = {eta}")
@@ -293,31 +291,21 @@ def reduce_component(
     ctx: ComponentContext,
     m_threshold: int,
     oracle: LinkageSolver,
-    stats: Optional[OracleStats] = None,
-) -> tuple[Graph, frozenset, OracleStats]:
-    """Oracle-mark every candidate crossing of the component and delete the
-    unmarked interior vertices from the graph."""
+) -> tuple[Graph, frozenset]:
+    """Mark and delete over g_d with s_d and the modulator as terminals: the
+    deleted vertices are the interior ones, v_d - s_d, that no witness of a
+    candidate crossing uses."""
     if len(ctx.v_d) <= m_threshold:
         raise NotApplicableError(
             f"|v_d| = {len(ctx.v_d)} <= m_threshold = {m_threshold}; nothing to reduce"
         )
-    stats = stats if stats is not None else OracleStats()
-    solver = counting_oracle(oracle, stats)
     terminals = frozenset(ctx.s_d | inst.modulator)
-    marked: set[int] = set()
     interior = len(ctx.v_d - ctx.s_d)
-    for kp, pattern in _component_candidates(inst.k, inst.eta, ctx.s_d, terminals, interior):
-        sol = solver(LinkageInstance(ctx.g_d, kp, terminals, pattern))
-        if sol is not None:
-            for p in sol:
-                marked.update(p)
-    deletable = set(ctx.v_d) - (marked | set(ctx.s_d))
-    out = inst.graph.copy()
-    out.delete_vertices(deletable)
-    return out, frozenset(deletable), stats
+    candidates = _component_candidates(inst.k, inst.eta, ctx.s_d, terminals, interior)
+    return mark_and_delete(inst.graph, ctx.g_d, terminals, candidates, oracle)
 
 
-def explicit_size_bound(k: int, ell: int, eta: int, m_threshold: int, a2_size: int) -> int:
+def explicit_size_bound(k: int, ell: int, m_threshold: int, a2_size: int) -> int:
     return (4 * k * (k + 1) * ell**2 + 1) * m_threshold + a2_size + ell
 
 
@@ -363,7 +351,6 @@ def modulator_kernelize(
     oracle: LinkageSolver,
     m_override: Optional[int] = None,
     on_round: Optional[Callable[[Graph, frozenset], None]] = None,
-    exact_cap: int = 30,
 ) -> ModulatorRun:
     """Run reduction rounds until no component is oversized, then decide the
     remainder with a single oracle call (no terminals, one empty request).
@@ -379,6 +366,7 @@ def modulator_kernelize(
     rho_value = rho(eta, ell)
     m_threshold = m_override if m_override is not None else default_m_threshold(k, ell, eta)
     stats = OracleStats()
+    solver = counting_oracle(oracle, stats)
     checks: list[BoundCheck] = []
     work = inst.graph.copy()
     cur = replace(inst, graph=work)
@@ -399,7 +387,7 @@ def modulator_kernelize(
             break
         core = induced_subgraph(work, core_vs)
         td = _single_child_root(
-            binarize(make_connected(compute_decomposition(core, exact_cap=exact_cap)))
+            binarize(make_connected(compute_decomposition(core)))
         )
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
@@ -417,7 +405,7 @@ def modulator_kernelize(
             checks.append(BoundCheck.le("s_d_size", len(ctx.s_d), 2 * eta + 2))
             checks.append(BoundCheck.le("v_d_size", len(ctx.v_d), 2 * m_threshold + eta + 1))
             calls_before = stats.calls
-            work2, deleted, _ = reduce_component(cur, ctx, m_threshold, oracle, stats)
+            work2, deleted = reduce_component(cur, ctx, m_threshold, solver)
             checks.append(
                 BoundCheck.le("component_oracle_calls", stats.calls - calls_before, (k + 1) * rho_value)
             )
@@ -443,8 +431,8 @@ def modulator_kernelize(
         )
     )
     final = LinkageInstance(work, k, frozenset(), (frozenset(),))
-    answer = counting_oracle(oracle, stats)(final) is not None
-    bound = explicit_size_bound(k, ell, eta, m_threshold, len(a2))
+    answer = solver(final) is not None
+    bound = explicit_size_bound(k, ell, m_threshold, len(a2))
     if not stalled:
         checks.append(BoundCheck.le("final_graph_size", work.n, bound))
     return ModulatorRun(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable
 
 from .errors import InputError, NotApplicableError
 from .graphs import (
@@ -22,7 +22,7 @@ from .graphs import (
     iter_k_paths,
     open_neighborhood,
 )
-from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle
+from .linkage import LinkageInstance, LinkageSolver
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,6 @@ def p_bound(k: int, ell: int, h: int) -> int:
     return (k + 1) * (1 + sum(base**r for r in range(2 * h + 1)))
 
 
-@dataclass(frozen=True)
-class CandidateInstance:
-    k_prime: int
-    requests: tuple[frozenset, ...]
-
-
 def _request_universe(guard, boundary) -> list[frozenset]:
     universe = set()
     for z in sorted(guard):
@@ -71,20 +65,17 @@ def _request_universe(guard, boundary) -> list[frozenset]:
     return sorted(universe, key=lambda r: (len(r), sorted(r)))
 
 
-def enumerate_candidates(gr: GuardedRegion) -> list[CandidateInstance]:
-    """Every distinct candidate instance for the region: per k' in 0..k, the
-    single-empty-request pattern plus every multiset of at most max(1, 2|Z|)
-    requests {z} or {z, b} with z in the guard and b in the boundary."""
+def enumerate_candidates(gr: GuardedRegion) -> list[tuple[int, tuple[frozenset, ...]]]:
+    """Every distinct candidate (k', requests) pair for the region: per k'
+    in 0..k, the single-empty-request pattern plus every multiset of at most
+    max(1, 2|Z|) requests {z} or {z, b} with z in the guard and b in the
+    boundary."""
     patterns: list[tuple[frozenset, ...]] = [(frozenset(),)]
     universe = _request_universe(gr.guard, gr.boundary)
     rmax = max(1, 2 * len(gr.guard))
     for r in range(1, rmax + 1):
         patterns.extend(itertools.combinations_with_replacement(universe, r))
-    out = [
-        CandidateInstance(kp, tuple(pat))
-        for kp in range(gr.k + 1)
-        for pat in patterns
-    ]
+    out = [(kp, tuple(pat)) for kp in range(gr.k + 1) for pat in patterns]
     assert len(out) <= p_bound(gr.k, len(gr.boundary), len(gr.guard))
     return out
 
@@ -99,16 +90,32 @@ def guard_is_valid(g: Graph, gr: GuardedRegion, cap: int = 20) -> bool:
     return any(is_guarded(g, p, gr.region, gr.guard) for p in iter_k_paths(g, gr.k))
 
 
-def apply_reduction(
+def mark_and_delete(
     g: Graph,
-    gr: GuardedRegion,
+    local: Graph,
+    terminals: frozenset,
+    candidates: Iterable[tuple[int, tuple[frozenset, ...]]],
     oracle: LinkageSolver,
-    stats: Optional[OracleStats] = None,
-    verify_guard: bool = False,
-) -> tuple[Graph, frozenset, OracleStats]:
-    """Run the reduction rule once: query the oracle on every candidate
-    instance over G[N[A]], mark all witness vertices, delete the unmarked
-    part of A. Applicable only when |A| exceeds k * p_bound(k, l, h), which
+) -> tuple[Graph, frozenset]:
+    """Ask the oracle every (k', requests) candidate on ``local``, mark the
+    vertices of every witness, and delete from a copy of ``g`` the
+    non-terminals of ``local`` that no witness uses."""
+    marked: set[int] = set()
+    for kp, requests in candidates:
+        sol = oracle(LinkageInstance(local, kp, terminals, requests))
+        if sol is not None:
+            for p in sol:
+                marked.update(p)
+    deletable = frozenset(local.vertices - terminals - marked)
+    out = g.copy()
+    out.delete_vertices(deletable)
+    return out, deletable
+
+
+def apply_reduction(g: Graph, gr: GuardedRegion, oracle: LinkageSolver) -> tuple[Graph, frozenset]:
+    """Run the reduction rule once: mark and delete over G[N[A]] with the
+    boundary as terminals, so the deleted vertices are the unmarked part of
+    A. Applicable only when |A| exceeds k * p_bound(k, l, h), which
     guarantees at least one deletion.
 
     Unlike ``reduce_component``, no candidate needs a k' cap: every
@@ -123,20 +130,7 @@ def apply_reduction(
         )
     if open_neighborhood(g, gr.region) != set(gr.boundary):
         raise InputError("region boundary is stale for this graph")
-    if verify_guard and not guard_is_valid(g, gr):
-        raise InputError("guard set is not a valid guard for this region")
-    stats = stats if stats is not None else OracleStats()
-    solver = counting_oracle(oracle, stats)
-    sub = induced_subgraph(g, gr.region | gr.boundary)
-    terminals = frozenset(gr.boundary)
-    marked: set[int] = set()
-    for cand in enumerate_candidates(gr):
-        sol = solver(LinkageInstance(sub, cand.k_prime, terminals, cand.requests))
-        if sol is not None:
-            for p in sol:
-                marked.update(p)
-    deletable = gr.region - marked
+    local = induced_subgraph(g, gr.region | gr.boundary)
+    out, deletable = mark_and_delete(g, local, gr.boundary, enumerate_candidates(gr), oracle)
     assert deletable, "marking can never cover a region larger than k*p_bound"
-    out = g.copy()
-    out.delete_vertices(deletable)
-    return out, frozenset(deletable), stats
+    return out, deletable

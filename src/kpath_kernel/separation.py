@@ -122,8 +122,8 @@ class DecompositionSeparationProvider:
     for every later call. The decomposition, computed or supplied, is
     validated once here by ``stats``; restricting it keeps it valid."""
 
-    def __init__(self, g0: Graph, td: Optional[TreeDecomposition] = None, exact_cap: int = 30):
-        self._td0 = td if td is not None else make_connected(compute_decomposition(g0, exact_cap=exact_cap))
+    def __init__(self, g0: Graph, td: Optional[TreeDecomposition] = None):
+        self._td0 = td if td is not None else make_connected(compute_decomposition(g0))
         s = stats(self._td0)
         self.h = s.adhesion
         self.width_bound = s.width + 1

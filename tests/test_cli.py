@@ -148,6 +148,31 @@ class TestCli:
         missing = str(tmp_path / "nope.gr")
         assert main(["solve", "--graph", missing, "--k", "2"]) == 2
 
+    @pytest.mark.parametrize("method", ["linkage", "bruteforce"])
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_solve_rejects_k_below_one(self, workdir, capsys, tmp_path, method, k):
+        g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        assert main(["solve", "--graph", gfile, "--k", k, "--method", method]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InputError", "detail": "k must be >= 1"}
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_suite_rejects_count_below_one(self, workdir, capsys, tmp_path, count):
+        assert main(["suite", "--count", count, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err == {"error": "InputError", "detail": "count must be >= 1"}
+
+    def test_bruteforce_solve_on_a_long_path(self, workdir, capsys, tmp_path):
+        n = 1500
+        g = Graph.from_edges(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+        gfile = write(tmp_path / "long.gr", write_graph_text(g))
+        assert main(["solve", "--graph", gfile, "--k", str(n),
+                     "--method", "bruteforce", "--cap", "2000"]) == 0
+        assert last_json(capsys) == {"answer": "yes", "path": list(range(1, n + 1))}
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -77,6 +77,19 @@ class TestKernelize:
         assert run.final_graph_size < g.n
         assert all(c.passed for c in run.bound_checks)
 
+    def test_stats_count_every_oracle_call_once(self):
+        sizes = []
+
+        def oracle(inst):
+            sizes.append(inst.graph.n)
+            return solve_linkage(inst)
+
+        g = forest(random.Random(6), 40)
+        run = kernelize(g, 1, DecompositionSeparationProvider(g), oracle)
+        assert run.reduction_steps >= 2
+        assert run.stats.calls == len(sizes)
+        assert run.stats.max_instance_vertices == max(sizes)
+
     def test_coarse_separation_triggers_the_trivial_fallback(self):
         # the fake provider hands back the degenerate full separation; the
         # clique defeats the exhaustive fallback's tight window too

@@ -13,7 +13,7 @@ from kpath_kernel.graphs import (
     iter_k_paths,
     traverses,
 )
-from kpath_kernel.linkage import LinkageInstance, solve_linkage
+from kpath_kernel.linkage import LinkageInstance, OracleStats, counting_oracle, solve_linkage
 from kpath_kernel.modulator import (
     build_component_context,
     build_path_families,
@@ -271,7 +271,8 @@ class TestReduceComponent:
             before = brute_force_k_path(inst.graph, inst.k) is not None
             for m in (3, 5):
                 for ctx in self._contexts(inst, m):
-                    out, deleted, stats = reduce_component(inst, ctx, m, solve_linkage)
+                    stats = OracleStats()
+                    out, deleted = reduce_component(inst, ctx, m, counting_oracle(solve_linkage, stats))
                     after = brute_force_k_path(out, inst.k) is not None
                     assert before == after
                     assert stats.calls <= (inst.k + 1) * rho(inst.eta, len(inst.modulator))
@@ -309,7 +310,8 @@ class TestComponentCandidateCap:
             inst = small_modulator_instance(rng, max_n=16, max_k=4)
             for m in (3, 5):
                 for ctx in TestReduceComponent()._contexts(inst, m):
-                    _, deleted, stats = reduce_component(inst, ctx, m, solve_linkage)
+                    stats = OracleStats()
+                    _, deleted = reduce_component(inst, ctx, m, counting_oracle(solve_linkage, stats))
                     ref_deleted, ref_calls = uncapped_reduction(inst, ctx)
                     assert deleted == ref_deleted
                     assert stats.calls <= ref_calls
@@ -412,6 +414,24 @@ class TestModulatorKernelize:
                 fired += 1
                 assert all(d >= 1 for d in deletions)
         assert fired > 5
+
+    def test_stats_count_every_oracle_call_once(self):
+        sizes = []
+
+        def oracle(inst):
+            sizes.append(inst.graph.n)
+            return solve_linkage(inst)
+
+        rng = random.Random(41)
+        reduced = 0
+        for _ in range(20):
+            inst = small_modulator_instance(rng, max_n=16, max_k=3, max_eta=1, max_ell=2)
+            before = len(sizes)
+            run = modulator_kernelize(inst, oracle, m_override=4)
+            assert run.stats.calls == len(sizes) - before
+            assert run.stats.max_instance_vertices == max(sizes[before:])
+            reduced += run.components_reduced > 0
+        assert reduced > 5
 
     def test_structural_bound_checks_pass(self):
         rng = random.Random(10)

@@ -5,7 +5,7 @@ import pytest
 
 from kpath_kernel.errors import InputError, NotApplicableError
 from kpath_kernel.graphs import Graph, brute_force_k_path
-from kpath_kernel.linkage import solve_linkage
+from kpath_kernel.linkage import OracleStats, counting_oracle, solve_linkage
 from kpath_kernel.reduction import (
     apply_reduction,
     enumerate_candidates,
@@ -73,14 +73,14 @@ class TestEnumerateCandidates:
         assert gr.guard == frozenset()
         cands = enumerate_candidates(gr)
         assert len(cands) == 4  # one per k' in 0..3
-        assert all(c.requests == (frozenset(),) for c in cands)
+        assert all(requests == (frozenset(),) for _, requests in cands)
 
     def test_single_vertex_guard_and_boundary(self):
         g = Graph.from_edges(range(1, 6), [(5, i) for i in range(1, 5)])
         gr = make_guarded_region(g, {1, 2, 3, 4}, k=1)
         assert gr.boundary == frozenset({5}) and gr.guard == frozenset({5})
         cands = enumerate_candidates(gr)
-        patterns = {c.requests for c in cands}
+        patterns = {requests for _, requests in cands}
         assert (frozenset(),) in patterns
         assert (frozenset({5}),) in patterns
         assert (frozenset({5}), frozenset({5})) in patterns
@@ -121,7 +121,8 @@ class TestApplyReduction:
         region = set(range(1, 14))
         gr = make_guarded_region(g, region, k=2)
         assert gr.boundary == frozenset()
-        out, deleted, stats = apply_reduction(g, gr, solve_linkage)
+        stats = OracleStats()
+        out, deleted = apply_reduction(g, gr, counting_oracle(solve_linkage, stats))
         assert len(deleted) == 12  # one vertex marked by the single-vertex witness
         assert brute_force_k_path(out, 2) is not None
         assert stats.calls <= p_bound(2, 0, 0)
@@ -168,7 +169,8 @@ class TestApplyReduction:
             if len(gr.boundary) != ell:
                 continue
             before = brute_force_k_path(g, k) is not None
-            out, deleted, stats = apply_reduction(g, gr, solve_linkage)
+            stats = OracleStats()
+            out, deleted = apply_reduction(g, gr, counting_oracle(solve_linkage, stats))
             after = brute_force_k_path(out, k) is not None
             assert before == after
             assert len(deleted) >= 1
