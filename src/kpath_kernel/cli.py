@@ -160,6 +160,16 @@ def cmd_validate_td(args) -> int:
 def cmd_suite(args) -> int:
     if args.count < 1:
         raise InputError("count must be >= 1")
+    # spec_for_index draws n from [min_n, max_n], k from [1, max_k] and ell
+    # from [0, min(max_ell, n - 2)]; eta is at most max_eta
+    for name, value, low in (
+        ("max-n", args.max_n, SuiteConfig.min_n),
+        ("max-k", args.max_k, 1),
+        ("max-eta", args.max_eta, 0),
+        ("max-ell", args.max_ell, 0),
+    ):
+        if value < low:
+            raise InputError(f"{name} must be >= {low}")
     cfg = SuiteConfig(
         count=args.count,
         seed=args.seed,

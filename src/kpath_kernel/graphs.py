@@ -189,11 +189,8 @@ def check_separation(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     sa, sb = set(a), set(b)
     if sa | sb != set(g.vertices):
         return False
-    only_a = sa - sb
-    for v in only_a:
-        if g.has_vertex(v) and (g.neighbors(v) & (sb - sa)):
-            return False
-    return True
+    only_b = sb - sa
+    return all(g.neighbors(v).isdisjoint(only_b) for v in sa - sb)
 
 
 def is_simple_path(g: Graph, p: Iterable[int]) -> bool:

@@ -38,22 +38,30 @@ class ModulatorInstance:
     k: int
     modulator: frozenset
     eta: int
+    # the decomposition of G - M that make_modulator_instance checked; the
+    # first round starts from it, so the instance's graph must not change
+    core_decomposition: Optional[TreeDecomposition] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 def make_modulator_instance(g: Graph, k: int, modulator, eta: int) -> ModulatorInstance:
-    """Verify treewidth(G - M) <= eta before accepting the instance."""
+    """Verify treewidth(G - M) <= eta before accepting the instance, and keep
+    the decomposition that shows it."""
     mset = frozenset(modulator)
     if not mset <= set(g.vertices):
         raise InputError("modulator must be a vertex subset")
     if k < 1 or eta < 0:
         raise InputError("need k >= 1 and eta >= 0")
+    inst = ModulatorInstance(g, k, mset, eta)
     core = set(g.vertices) - mset
     if core:
         td = compute_decomposition(induced_subgraph(g, core))
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
             raise InputError(f"G - M has width {width} > eta = {eta}")
-    return ModulatorInstance(g, k, mset, eta)
+        inst.core_decomposition = td
+    return inst
 
 
 def find_uvk_path(
@@ -98,35 +106,55 @@ class PathFamilyIndex:
         return sum(1 for t in self.truncated.values() if t)
 
 
-def build_path_families(inst: ModulatorInstance) -> PathFamilyIndex:
+def build_path_families(
+    inst: ModulatorInstance, prev: Optional[PathFamilyIndex] = None
+) -> PathFamilyIndex:
     """Greedy internally-disjoint path packing, capped at k+1 per family.
 
     Two-endpoint families run over unordered modulator pairs and
     0 <= k' <= k-2; one-endpoint families over 0 <= k' <= k-1. A family
     shorter than the cap is maximal: the search that would extend it came
     back empty. a1 collects every non-modulator vertex the kept paths use.
+
+    ``prev``, if given, must have been built for the same k and M on a graph
+    of which ``inst.graph`` is an induced subgraph (the graph before a
+    deletion round). Each family then keeps the longest prefix of its
+    ``prev`` paths that still lie wholly in the graph and packs on from
+    there; a family that survives whole keeps its flag and costs no search.
+    The result is the fresh build's: each path is the first solution, in
+    sorted-adjacency order, of one request, and a subgraph's solutions are
+    some of the supergraph's, so a surviving path is still first. The
+    k' = 1 one-endpoint family is always recomputed, because its flag
+    counts neighbours beyond the cap.
     """
     g, k, mset = inst.graph, inst.k, inst.modulator
     cap = k + 1
     families: dict[FamilyKey, tuple[Path, ...]] = {}
     truncated: dict[FamilyKey, bool] = {}
     mods = sorted(mset)
-    nonmod = set(g.vertices) - mset
+    alive = g.vertices
+    nonmod = set(alive) - mset
 
-    def pack(u: int, v: Optional[int], kp: int) -> tuple[list[Path], bool]:
-        found: list[Path] = []
-        forb: set[int] = set()
+    def pack(key: FamilyKey) -> None:
+        u, v, kp = key
+        old = prev.families[key] if prev is not None else ()
+        kept = 0
+        while kept < len(old) and all(x in alive for x in old[kept]):
+            kept += 1
+        if prev is not None and kept == len(old):
+            families[key], truncated[key] = old, prev.truncated[key]
+            return
+        found = list(old[:kept])
+        # every packed path has internal vertices (k' >= 1 between two
+        # endpoints, k' >= 2 from one), and later paths must avoid them
+        forb = {x for p in found for x in p[1:-1]}
         while len(found) < cap:
             p = find_uvk_path(g, mset, u, v, kp, forb)
             if p is None:
-                return found, False
+                break
             found.append(p)
-            internals = p[1:-1]
-            if not internals:
-                # no internal vertices to forbid: the only such path is p itself
-                return found, False
-            forb.update(internals)
-        return found, True
+            forb.update(p[1:-1])
+        families[key], truncated[key] = tuple(found), len(found) == cap
 
     for i, u in enumerate(mods):
         for v in mods[i + 1 :]:
@@ -143,9 +171,7 @@ def build_path_families(inst: ModulatorInstance) -> PathFamilyIndex:
                     families[key] = ()
                     truncated[key] = False
                     continue
-                fam, trunc = pack(u, v, kp)
-                families[key] = tuple(fam)
-                truncated[key] = trunc
+                pack(key)
     for u in mods:
         for kp in range(0, k):
             key = (u, None, kp)
@@ -158,9 +184,7 @@ def build_path_families(inst: ModulatorInstance) -> PathFamilyIndex:
                 families[key] = tuple((u, x) for x in ext[:cap])
                 truncated[key] = len(ext) > cap
                 continue
-            fam, trunc = pack(u, None, kp)
-            families[key] = tuple(fam)
-            truncated[key] = trunc
+            pack(key)
     a1: set[int] = set()
     for fam in families.values():
         for p in fam:
@@ -256,10 +280,12 @@ def _component_candidates(
     vertex, so patterns with r + |union of requests| > k' can never arise
     and are skipped. The paths' other vertices are among the ``interior``
     ones, |v_d - s_d|, so k' stops at |union of requests| + interior: a
-    larger k' is a no the solver would give by counting alone.
+    larger k' is a no the solver would give by counting alone. Together
+    the two limits leave no k' for a pattern of more than ``interior``
+    requests, so such patterns are never grown.
     """
     ordered = _request_universe(s_d, terminals)
-    rmax = min(4 * eta + 4, k)
+    rmax = min(4 * eta + 4, k, interior)
     patterns: list[tuple[tuple[frozenset, ...], int]] = []
 
     def grow(start: int, cur: list[frozenset], union: frozenset) -> None:
@@ -355,8 +381,11 @@ def modulator_kernelize(
     """Run reduction rounds until no component is oversized, then decide the
     remainder with a single oracle call (no terminals, one empty request).
 
-    Families, decomposition, marking and components are rebuilt from
-    scratch after every deletion round. ``m_override`` substitutes the
+    After a deletion round, families are repacked from the last round's
+    (only those that lost a path search again); the decomposition of G - M,
+    marking and components are computed afresh. The first round starts
+    from the decomposition make_modulator_instance checked, if the instance
+    came from there. ``m_override`` substitutes the
     component threshold (used by step-level safeness tests); the default is
     the smallest provably-progressing value, which at desk scale usually
     means no round fires at all and the final call decides.
@@ -375,6 +404,7 @@ def modulator_kernelize(
     stalled = False
     fam = build_path_families(cur)
     a2: frozenset = frozenset()
+    checked = inst.core_decomposition
 
     while True:
         a1_claim = (k + 1) * k * ell**2
@@ -385,10 +415,10 @@ def modulator_kernelize(
         core_vs = set(work.vertices) - mset
         if not core_vs:
             break
-        core = induced_subgraph(work, core_vs)
-        td = _single_child_root(
-            binarize(make_connected(compute_decomposition(core)))
-        )
+        if checked is None:
+            checked = compute_decomposition(induced_subgraph(work, core_vs))
+        td = _single_child_root(binarize(make_connected(checked)))
+        checked = None
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
             raise InputError(f"decomposition of G - M has width {width} > eta = {eta}")
@@ -416,7 +446,7 @@ def modulator_kernelize(
                 rounds += 1
                 if on_round is not None:
                     on_round(work, deleted)
-                fam = build_path_families(cur)
+                fam = build_path_families(cur, fam)
                 progressed = True
                 break
         if not progressed:

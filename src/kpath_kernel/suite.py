@@ -16,7 +16,7 @@ from .errors import SuiteFailure
 from .generate import GeneratorSpec, generate
 from .graphs import brute_force_k_path, vertex_index, write_graph_text
 from .linkage import solve_linkage
-from .modulator import ModulatorInstance, modulator_kernelize
+from .modulator import ModulatorInstance, make_modulator_instance, modulator_kernelize
 from .separation import DecompositionSeparationProvider
 
 
@@ -182,7 +182,7 @@ def minimize_disagreement(inst: ModulatorInstance, cfg: SuiteConfig) -> Modulato
             continue
         g2 = current.graph.copy()
         g2.delete_vertex(v)
-        trial = ModulatorInstance(g2, current.k, current.modulator - {v}, current.eta)
+        trial = make_modulator_instance(g2, current.k, current.modulator - {v}, current.eta)
         try:
             if _disagrees(trial, cfg):
                 current = trial

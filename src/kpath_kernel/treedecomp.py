@@ -490,11 +490,13 @@ def _min_fill_order(g: Graph) -> list[int]:
     """Greedy min-fill elimination order: repeatedly eliminate the vertex
     whose neighbourhood misses the fewest edges, ties broken by
     (fill, degree, id). Keys sit in a heap whose stale entries are skipped
-    when popped. Eliminating v with neighbourhood N changes the keys of
-    N ∪ N(N) only: at most Δ² + Δ keys at O(Δ²) each, where Δ is the
-    largest degree of the filled graph. The order costs
-    O(n · (Δ⁴ + Δ² log n)), against O(n² · Δ²) for rescanning every
-    remaining vertex at every step."""
+    when popped. Eliminating v with neighbourhood N changes the
+    neighbourhoods of N only; any other vertex w keeps its own, and its
+    fill drops only where a new fill edge ab has both ends adjacent to w.
+    So the keys to redo are N and the common neighbours of each fill edge
+    added: at most Δ² + Δ keys at O(Δ²) each, where Δ is the largest degree
+    of the filled graph. The order costs O(n · (Δ⁴ + Δ² log n)), against
+    O(n² · Δ²) for rescanning every remaining vertex at every step."""
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
 
     def key(v: int) -> tuple[int, int, int]:
@@ -516,13 +518,14 @@ def _min_fill_order(g: Graph) -> list[int]:
         nb = adj.pop(v)
         for a in nb:
             adj[a].discard(v)
-        for a, b in itertools.combinations(nb, 2):
+        fill = [(a, b) for a, b in itertools.combinations(nb, 2) if b not in adj[a]]
+        for a, b in fill:
             adj[a].add(b)
             adj[b].add(a)
         order.append(v)
         touched = set(nb)
-        for a in nb:
-            touched |= adj[a]
+        for a, b in fill:
+            touched |= adj[a] & adj[b]
         for w in touched:
             k = key(w)
             if current[w] != k:

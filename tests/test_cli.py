@@ -165,6 +165,29 @@ class TestCli:
         err = json.loads(captured.err)
         assert err == {"error": "InputError", "detail": "count must be >= 1"}
 
+    @pytest.mark.parametrize(
+        "flag, value, detail",
+        [
+            ("--max-n", "5", "max-n must be >= 6"),
+            ("--max-n", "3", "max-n must be >= 6"),
+            ("--max-k", "0", "max-k must be >= 1"),
+            ("--max-eta", "-1", "max-eta must be >= 0"),
+            ("--max-ell", "-1", "max-ell must be >= 0"),
+        ],
+    )
+    def test_suite_rejects_stream_bounds_it_cannot_draw_from(
+        self, workdir, capsys, tmp_path, flag, value, detail
+    ):
+        assert main(["suite", "--count", "2", flag, value, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InputError", "detail": detail}
+
+    def test_suite_accepts_the_smallest_stream_bounds(self, workdir, capsys, tmp_path):
+        assert main(["suite", "--count", "2", "--max-n", "6", "--max-k", "1", "--max-eta", "0",
+                     "--max-ell", "0", "--out-dir", str(tmp_path)]) == 0
+        assert last_json(capsys)["instances"] == 2
+
     def test_bruteforce_solve_on_a_long_path(self, workdir, capsys, tmp_path):
         n = 1500
         g = Graph.from_edges(range(1, n + 1), [(i, i + 1) for i in range(1, n)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +14,11 @@ from kpath_kernel.graphs import (
     iter_k_paths,
     traverses,
 )
+from kpath_kernel.reduction import _request_universe
 from kpath_kernel.linkage import LinkageInstance, OracleStats, counting_oracle, solve_linkage
+from kpath_kernel import modulator
 from kpath_kernel.modulator import (
+    _component_candidates,
     build_component_context,
     build_path_families,
     default_m_threshold,
@@ -199,6 +203,154 @@ class TestBuildPathFamilies:
                 assert find_uvk_path(inst.graph, inst.modulator, u, v, kp, internals) is None
                 checked += 1
         assert checked >= 10
+
+
+class TestRepackPathFamilies:
+    def test_repacking_after_every_round_equals_a_fresh_build(self):
+        rng = random.Random(20261018)
+        rounds = 0
+        for _ in range(30):
+            inst = small_modulator_instance(rng, max_n=18, max_k=4, max_eta=1, max_ell=3)
+            for m in (3, 4, 5):
+                prev = [build_path_families(inst)]
+
+                def on_round(work, deleted):
+                    nonlocal rounds
+                    cur = replace(inst, graph=work)
+                    fresh = build_path_families(cur)
+                    repacked = build_path_families(cur, prev[0])
+                    assert repacked.families == fresh.families
+                    assert repacked.truncated == fresh.truncated
+                    assert repacked.a1 == fresh.a1
+                    prev[0] = fresh
+                    rounds += 1
+
+                modulator_kernelize(inst, solve_linkage, m_override=m, on_round=on_round)
+        assert rounds >= 30
+
+    def test_repacking_after_deleting_path_vertices_equals_a_fresh_build(self):
+        # a kernel round deletes no family vertex (they sit in the marked
+        # boundary), so break families by hand: any induced subgraph will do
+        rng = random.Random(7)
+        partial = broken = 0
+        for _ in range(40):
+            inst = small_modulator_instance(rng, max_n=18, max_k=4, max_eta=1, max_ell=3)
+            prev = build_path_families(inst)
+            g = inst.graph.copy()
+            while prev.a1:
+                for x in rng.sample(sorted(prev.a1), min(len(prev.a1), rng.randint(1, 2))):
+                    g.delete_vertex(x)
+                cur = replace(inst, graph=g.copy())
+                fresh = build_path_families(cur)
+                repacked = build_path_families(cur, prev)
+                assert repacked.families == fresh.families
+                assert repacked.truncated == fresh.truncated
+                assert repacked.a1 == fresh.a1
+                for old in prev.families.values():
+                    alive = [all(g.has_vertex(x) for x in p) for p in old]
+                    partial += alive[:1] == [True] and not all(alive)
+                    broken += alive[:1] == [False]
+                prev = fresh
+        assert partial >= 20 and broken >= 20
+
+    def test_one_endpoint_flag_counts_neighbours_beyond_the_cap(self):
+        # k' = 1 from the hub: k + 2 neighbours, one more than the cap of
+        # k + 1; deleting the last one keeps every packed path but clears
+        # the flag
+        k = 3
+        g = Graph.from_edges(range(1, k + 4), [(1, x) for x in range(2, k + 4)])
+        prev = build_path_families(make_modulator_instance(g, k, {1}, 0))
+        assert prev.truncated[(1, None, 1)]
+        g.delete_vertex(k + 3)
+        inst = make_modulator_instance(g, k, {1}, 0)
+        repacked = build_path_families(inst, prev)
+        assert repacked.families[(1, None, 1)] == prev.families[(1, None, 1)]
+        assert repacked.truncated[(1, None, 1)] is False
+        assert repacked.truncated == build_path_families(inst).truncated
+
+
+class TestDecompositionReuse:
+    def test_the_checked_decomposition_starts_round_one(self, monkeypatch):
+        calls = []
+        original = modulator.compute_decomposition
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(modulator, "compute_decomposition", counted)
+        rng = random.Random(41)
+        seen_rounds = 0
+        for _ in range(20):
+            spec_inst = small_modulator_instance(rng, max_n=16, max_k=3, max_eta=1, max_ell=2)
+            if spec_inst.graph.n == len(spec_inst.modulator):
+                continue
+            for m in (None, 4):
+                calls.clear()
+                rounds = []
+                inst = make_modulator_instance(
+                    spec_inst.graph, spec_inst.k, spec_inst.modulator, spec_inst.eta
+                )
+                run = modulator_kernelize(
+                    inst, solve_linkage, m_override=m, on_round=lambda w, d: rounds.append(d)
+                )
+                assert run.reduction_steps == len(rounds)
+                assert len(calls) == 1 + len(rounds)
+                seen_rounds += len(rounds)
+        assert seen_rounds >= 10
+
+    def test_a_directly_built_instance_decomposes_in_round_one(self):
+        rng = random.Random(3)
+        inst = small_modulator_instance(rng, max_n=14)
+        direct = modulator.ModulatorInstance(inst.graph, inst.k, inst.modulator, inst.eta)
+        assert direct.core_decomposition is None
+        assert direct == inst
+        ours = modulator_kernelize(direct, solve_linkage, m_override=4).to_json()
+        assert ours == modulator_kernelize(inst, solve_linkage, m_override=4).to_json()
+
+
+def uncapped_candidates(k, eta, s_d, terminals, interior):
+    """Reference for _component_candidates that grows every pattern of up to
+    min(4*eta+4, k) requests, also those with no k' left to ask."""
+    ordered = _request_universe(s_d, terminals)
+    rmax = min(4 * eta + 4, k)
+    patterns = []
+
+    def grow(start, cur, union):
+        if cur:
+            patterns.append((tuple(cur), len(union)))
+        if len(cur) == rmax:
+            return
+        for idx in range(start, len(ordered)):
+            nu = union | ordered[idx]
+            if len(cur) + 1 + len(nu) > k:
+                continue
+            cur.append(ordered[idx])
+            grow(idx, cur, nu)
+            cur.pop()
+
+    grow(0, [], frozenset())
+    out = [(kp, (frozenset(),)) for kp in range(min(k, interior) + 1)]
+    for pat, usize in patterns:
+        for kp in range(len(pat) + usize, min(k, usize + interior) + 1):
+            out.append((kp, pat))
+    return out
+
+
+class TestComponentCandidates:
+    def test_same_list_as_growing_every_pattern(self):
+        rng = random.Random(20261018)
+        nonempty = 0
+        for _ in range(300):
+            k = rng.randint(1, 9)
+            eta = rng.randint(0, 2)
+            s_d = frozenset(rng.sample(range(1, 12), rng.randint(1, 2 * eta + 2)))
+            mods = frozenset(rng.sample(range(20, 26), rng.randint(0, 3)))
+            interior = rng.randint(0, k + 2)
+            got = _component_candidates(k, eta, s_d, s_d | mods, interior)
+            assert got == uncapped_candidates(k, eta, s_d, s_d | mods, interior)
+            nonempty += any(len(pat) > 1 for _, pat in got)
+        assert nonempty >= 50
 
 
 class TestMarkDecomposition:
