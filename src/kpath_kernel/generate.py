@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InputError
 from .graphs import Graph
 from .modulator import ModulatorInstance, make_modulator_instance
-from .treedecomp import compute_decomposition
 
 KINDS = ("partial-k-tree", "gnp", "grid", "theta")
 
@@ -53,15 +53,16 @@ def generate(spec: GeneratorSpec) -> ModulatorInstance:
         n_core = spec.n - ell
         if n_core < 1:
             raise InputError("modulator_size leaves no core vertices")
+        # gnp and grid leave eta to make_modulator_instance, which measures
+        # it on the decomposition of G - M it keeps
+        eta: Optional[int] = None
         if spec.kind == "partial-k-tree":
             core = _partial_k_tree(g, rng, n_core, spec.eta, spec.edge_keep_prob)
             eta = spec.eta
         elif spec.kind == "gnp":
             core = _gnp(g, rng, n_core, spec.gnp_p)
-            eta = _measured_eta(g, core)
         else:
             core = _grid(g, n_core)
-            eta = _measured_eta(g, core)
         modulator = _attach_modulator(g, rng, core, ell, spec.modulator_edge_prob)
     return make_modulator_instance(g, spec.k, modulator, eta)
 
@@ -135,11 +136,3 @@ def _attach_modulator(g: Graph, rng: random.Random, core, ell: int, prob: float)
         others.append(m)
     return mods
 
-
-def _measured_eta(g: Graph, core) -> int:
-    if not core:
-        return 0
-    from .graphs import induced_subgraph
-
-    td = compute_decomposition(induced_subgraph(g, core))
-    return max(len(b) for b in td.bags.values()) - 1

@@ -45,22 +45,26 @@ class ModulatorInstance:
     )
 
 
-def make_modulator_instance(g: Graph, k: int, modulator, eta: int) -> ModulatorInstance:
+def make_modulator_instance(
+    g: Graph, k: int, modulator, eta: Optional[int]
+) -> ModulatorInstance:
     """Verify treewidth(G - M) <= eta before accepting the instance, and keep
-    the decomposition that shows it."""
+    the decomposition that shows it. With ``eta`` None the instance takes
+    the width of that decomposition as its eta."""
     mset = frozenset(modulator)
     if not mset <= set(g.vertices):
         raise InputError("modulator must be a vertex subset")
-    if k < 1 or eta < 0:
+    if k < 1 or (eta is not None and eta < 0):
         raise InputError("need k >= 1 and eta >= 0")
-    inst = ModulatorInstance(g, k, mset, eta)
     core = set(g.vertices) - mset
-    if core:
-        td = compute_decomposition(induced_subgraph(g, core))
-        width = max(len(b) for b in td.bags.values()) - 1
-        if width > eta:
-            raise InputError(f"G - M has width {width} > eta = {eta}")
-        inst.core_decomposition = td
+    td = compute_decomposition(induced_subgraph(g, core)) if core else None
+    width = max(len(b) for b in td.bags.values()) - 1 if td else 0
+    if eta is None:
+        eta = width
+    elif width > eta:
+        raise InputError(f"G - M has width {width} > eta = {eta}")
+    inst = ModulatorInstance(g, k, mset, eta)
+    inst.core_decomposition = td
     return inst
 
 

@@ -215,7 +215,18 @@ def write_reproducer(cfg: SuiteConfig, index: int) -> tuple[str, str]:
     return gr_path, meta_path
 
 
+def _nearest_rank(ordered: list[float], q: int) -> float:
+    """The q-th percentile of an ascending list by nearest rank: the
+    smallest value with at least q percent of the list at or below it."""
+    if not ordered:
+        return 0.0
+    return ordered[max(0, (q * len(ordered) + 99) // 100 - 1)]
+
+
 def summarize(reports: list[RunReport]) -> dict:
+    """Totals over the reports, with per-instance latency percentiles next
+    to the summed ``elapsed``."""
+    times = sorted(r.elapsed for r in reports)
     failed_bounds = [
         {"index": r.index, **c}
         for r in reports
@@ -230,5 +241,8 @@ def summarize(reports: list[RunReport]) -> dict:
         "max_instance_vertices": max((r.max_instance_vertices for r in reports), default=0),
         "reduction_steps": sum(r.reduction_steps for r in reports),
         "failed_bound_checks": failed_bounds,
-        "elapsed": round(sum(r.elapsed for r in reports), 3),
+        "elapsed": round(sum(times), 3),
+        "elapsed_p50": round(_nearest_rank(times, 50), 4),
+        "elapsed_p95": round(_nearest_rank(times, 95), 4),
+        "elapsed_max": round(_nearest_rank(times, 100), 4),
     }

@@ -9,6 +9,7 @@ whatever it produced.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -44,17 +45,29 @@ class TreeDecomposition:
                 self.children[p].append(t)
         for t in self.children:
             self.children[t].sort()
-        # reachability from the root certifies the parent map is a tree
+        # reachability from the root certifies the parent map is a tree; the
+        # same walk records depths and a preorder that visits the children
+        # last-first, whose reverse is the post-order with children in order
         seen = set()
+        depth = {root: 0}
+        visits = []
         stack = [root]
         while stack:
             t = stack.pop()
             if t in seen:
                 raise InputError("parent map contains a cycle")
             seen.add(t)
-            stack.extend(self.children[t])
+            visits.append(t)
+            kids = self.children[t]
+            if kids:
+                below = depth[t] + 1
+                for c in kids:
+                    depth[c] = below
+                stack.extend(kids)
         if seen != set(self.bags):
             raise InputError("parent map is not connected")
+        self._depth = depth
+        self._postorder = tuple(reversed(visits))
 
     @property
     def nodes(self):
@@ -64,14 +77,9 @@ class TreeDecomposition:
         return [(p, t) for t, p in self.parent.items() if p is not None]
 
     def depths(self) -> dict[NodeId, int]:
-        d = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            t = stack.pop()
-            for c in self.children[t]:
-                d[c] = d[t] + 1
-                stack.append(c)
-        return d
+        """Depth of every node, the root at 0. Computed once, when the tree
+        is checked; treat as read-only."""
+        return self._depth
 
     def subtree_nodes(self, t: NodeId) -> set[NodeId]:
         out = {t}
@@ -83,27 +91,19 @@ class TreeDecomposition:
                 stack.append(c)
         return out
 
-    def postorder(self) -> list[NodeId]:
-        out: list[NodeId] = []
-        stack: list[tuple[NodeId, bool]] = [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                out.append(t)
-            else:
-                stack.append((t, True))
-                for c in reversed(self.children[t]):
-                    stack.append((c, False))
-        return out
+    def postorder(self) -> tuple[NodeId, ...]:
+        """Every node after its subtree, children in ascending order.
+        Computed once, when the tree is checked; treat as read-only."""
+        return self._postorder
 
     def subtree_unions(self) -> dict[NodeId, frozenset]:
         """For every node, the union of bags in its subtree."""
         out: dict[NodeId, frozenset] = {}
         for t in self.postorder():
-            acc = set(self.bags[t])
-            for c in self.children[t]:
-                acc |= out[c]
-            out[t] = frozenset(acc)
+            u = self.bags[t]
+            if self.children[t]:
+                u = u.union(*[out[c] for c in self.children[t]])
+            out[t] = u
         return out
 
     def bag_union(self, ts: Iterable[NodeId]) -> frozenset:
@@ -114,15 +114,18 @@ class TreeDecomposition:
 
     def restrict(self, keep: Iterable[int]) -> "TreeDecomposition":
         """Intersect every bag with ``keep``: a decomposition of the induced
-        subgraph on ``keep``."""
+        subgraph on ``keep``. The tree is the same, so its checked parent
+        map, children, depths and post-order are shared, not rebuilt."""
         ks = set(keep)
         from .graphs import induced_subgraph
 
-        sub = induced_subgraph(self.host, ks & set(self.host.vertices))
-        return TreeDecomposition(sub, self.root, self.parent, {t: b & ks for t, b in self.bags.items()})
+        out = copy.copy(self)
+        out.host = induced_subgraph(self.host, ks & set(self.host.vertices))
+        out.bags = {t: b & ks for t, b in self.bags.items()}
+        return out
 
-    def lca(self, a: NodeId, b: NodeId, depth: Optional[dict[NodeId, int]] = None) -> NodeId:
-        d = depth or self.depths()
+    def lca(self, a: NodeId, b: NodeId) -> NodeId:
+        d = self._depth
         while d[a] > d[b]:
             a = self.parent[a]  # type: ignore[assignment]
         while d[b] > d[a]:
@@ -297,7 +300,7 @@ def binarize(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(td.host, 1, parent, bags)
 
 
-def _adjacent_lcas(td: TreeDecomposition, ts: Iterable[NodeId], depth: dict[NodeId, int]) -> set:
+def _adjacent_lcas(td: TreeDecomposition, ts: Iterable[NodeId]) -> set:
     """The lcas of the nodes adjacent in post-order among ``ts``.
 
     Post-order keeps every subtree contiguous, so these are all the
@@ -305,7 +308,7 @@ def _adjacent_lcas(td: TreeDecomposition, ts: Iterable[NodeId], depth: dict[Node
     (the virtual-tree lemma): |ts| - 1 lca calls instead of |ts|²/2."""
     rank = {t: i for i, t in enumerate(td.postorder())}
     seq = sorted(ts, key=rank.__getitem__)
-    return {td.lca(a, b, depth) for a, b in zip(seq, seq[1:])}
+    return {td.lca(a, b) for a, b in zip(seq, seq[1:])}
 
 
 def lca_closure(td: TreeDecomposition, b1: Iterable[NodeId]) -> frozenset:
@@ -314,7 +317,7 @@ def lca_closure(td: TreeDecomposition, b1: Iterable[NodeId]) -> frozenset:
     unknown = marked - set(td.nodes)
     if unknown:
         raise InputError(f"unknown nodes {sorted(unknown)}")
-    out = marked | {td.root} | _adjacent_lcas(td, marked, td.depths())
+    out = marked | {td.root} | _adjacent_lcas(td, marked)
     assert len(out) <= 2 * len(marked) + 1
     return frozenset(out)
 
@@ -335,7 +338,7 @@ def edge_components(td: TreeDecomposition, b2: Iterable[NodeId]) -> list[EdgeCom
     if td.root not in marked:
         raise InputError("marked set must contain the root")
     depth = td.depths()
-    if not _adjacent_lcas(td, marked, depth) <= marked:
+    if not _adjacent_lcas(td, marked) <= marked:
         raise InputError("marked set must be closed under lca")
     edges = td.tree_edges()
     idx = {e: i for i, e in enumerate(edges)}

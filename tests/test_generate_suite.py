@@ -1,12 +1,18 @@
+import hashlib
+import importlib
 import json
 import os
 
 import pytest
 
+import kpath_kernel.modulator as modulator_mod
 from kpath_kernel.errors import InputError, SuiteFailure
 from kpath_kernel.generate import GeneratorSpec, generate
 from kpath_kernel.graphs import brute_force_k_path, induced_subgraph, write_graph_text
+from kpath_kernel.linkage import solve_linkage
+from kpath_kernel.modulator import modulator_kernelize
 from kpath_kernel.suite import (
+    RunReport,
     SuiteConfig,
     run_one,
     run_suite,
@@ -14,6 +20,9 @@ from kpath_kernel.suite import (
     summarize,
 )
 from kpath_kernel.treedecomp import compute_decomposition, stats
+
+# the package exports the function generate, which hides the module
+generate_mod = importlib.import_module("kpath_kernel.generate")
 
 
 class TestGenerate:
@@ -50,6 +59,49 @@ class TestGenerate:
         inst = generate(GeneratorSpec(n=8, kind="gnp", k=3, gnp_p=0.4, seed=3))
         assert inst.eta >= 0
 
+    # (kind, n, k, ell, seed) -> graph digest, eta, answer and reductions
+    # under m_override=4, as generated before eta and the kept
+    # decomposition came from one decomposition of G - M
+    PINNED = [
+        ("gnp", 14, 8, 0, 0, "9c93ea5f092b7e61", 1, False, 0),
+        ("gnp", 14, 5, 1, 1, "4c560ae0b469fb81", 3, True, 0),
+        ("gnp", 14, 11, 2, 2, "c9295ee3069e61a7", 2, False, 0),
+        ("grid", 14, 5, 0, 0, "e1216e68b0c551f1", 3, True, 0),
+        ("grid", 14, 11, 1, 1, "8b564e765299fd43", 3, True, 0),
+        ("grid", 9, 10, 0, 3, "efa5083bf3f45cf0", 3, False, 0),
+        ("partial-k-tree", 14, 5, 1, 4, "57452d5816e4f8ed", 1, False, 4),
+        ("partial-k-tree", 14, 5, 2, 5, "ad1a6ac517ae0c0a", 1, True, 0),
+    ]
+
+    @pytest.mark.parametrize("kind, n, k, ell, seed, digest, eta, answer, steps", PINNED)
+    def test_one_decomposition_per_instance(
+        self, monkeypatch, kind, n, k, ell, seed, digest, eta, answer, steps
+    ):
+        calls = []
+        original = modulator_mod.compute_decomposition
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # count the calls from every module that imports the function
+        for mod in (generate_mod, modulator_mod):
+            if hasattr(mod, "compute_decomposition"):
+                monkeypatch.setattr(mod, "compute_decomposition", counted)
+        spec = GeneratorSpec(
+            n=n, kind=kind, k=k, gnp_p=0.18, eta=1, edge_keep_prob=0.6,
+            modulator_size=ell, seed=seed,
+        )
+        inst = generate(spec)
+        assert len(calls) == 1
+        assert inst.core_decomposition is not None
+        assert inst.eta == eta
+        text = write_graph_text(inst.graph)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        run = modulator_kernelize(inst, solve_linkage, m_override=4)
+        assert (run.answer, run.reduction_steps) == (answer, steps)
+        assert len(calls) == 1 + steps
+
     def test_bad_spec_rejected(self):
         with pytest.raises(InputError):
             generate(GeneratorSpec(n=0))
@@ -72,6 +124,24 @@ class TestSuite:
         summary = summarize(reports)
         assert summary["agreements"] == 8
         assert summary["instances"] == 8
+
+    def test_summary_gives_latency_percentiles(self):
+        def report(i, elapsed):
+            return RunReport(i, {}, True, True, True, 1, 5, 0, elapsed=elapsed)
+
+        # 20 instances taking 0.1 .. 2.0 s, listed out of order
+        times = [0.1 * ((7 * i) % 20 + 1) for i in range(20)]
+        summary = summarize([report(i, t) for i, t in enumerate(times)])
+        assert summary["elapsed"] == 21.0
+        assert (summary["elapsed_p50"], summary["elapsed_p95"], summary["elapsed_max"]) == (
+            1.0, 1.9, 2.0,
+        )
+        one = summarize([report(0, 0.25)])
+        assert (one["elapsed_p50"], one["elapsed_p95"], one["elapsed_max"]) == (0.25, 0.25, 0.25)
+        none = summarize([])
+        assert (none["elapsed"], none["elapsed_p50"], none["elapsed_p95"], none["elapsed_max"]) == (
+            0, 0.0, 0.0, 0.0,
+        )
 
     def test_reports_carry_bound_checks(self):
         cfg = SuiteConfig(count=4, seed=3, max_n=12, max_k=3, max_eta=1, max_ell=2)

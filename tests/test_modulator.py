@@ -373,10 +373,9 @@ class TestMarkDecomposition:
             b2, a2 = mark_decomposition(inst, td, fam.a1)
             assert fam.a1 <= a2
             assert len(a2) <= (inst.eta + 1) * len(b2)
-            depth = td.depths()
             for x in b2:
                 for y in b2:
-                    assert td.lca(x, y, depth) in b2
+                    assert td.lca(x, y) in b2
 
 
 class TestReduceComponent:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpath_kernel.errors import InputError, NotApplicableError
 from kpath_kernel.graphs import Graph
@@ -381,10 +383,9 @@ class TestLcaClosure:
             nodes = sorted(td.nodes)
             b1 = set(rng.sample(nodes, rng.randint(0, min(5, len(nodes)))))
             out = lca_closure(td, b1)
-            depth = td.depths()
             for a in out:
                 for b in out:
-                    assert td.lca(a, b, depth) in out
+                    assert td.lca(a, b) in out
             assert len(out) <= 2 * len(b1) + 1
 
     def test_matches_brute_pairwise_closure(self):
@@ -393,8 +394,7 @@ class TestLcaClosure:
             td = shuffled_tree(rng, rng.randint(1, 30))
             nodes = sorted(td.nodes)
             b1 = set(rng.sample(nodes, rng.randint(0, min(8, len(nodes)))))
-            depth = td.depths()
-            brute = b1 | {td.root} | {td.lca(a, b, depth) for a in b1 for b in b1}
+            brute = b1 | {td.root} | {td.lca(a, b) for a in b1 for b in b1}
             assert lca_closure(td, b1) == frozenset(brute)
 
 
@@ -405,6 +405,109 @@ def shuffled_tree(rng, size):
     for i in range(1, size):
         parent[ids[i]] = ids[rng.randrange(i)]
     return TreeDecomposition(Graph.from_edges([1]), ids[0], parent, {t: {1} for t in ids})
+
+
+@st.composite
+def random_decompositions(draw):
+    """A tree on shuffled node ids with random bags over vertices 1..6."""
+    size = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(1, 3 * size + 1)))[:size]
+    parent = {ids[0]: None}
+    for i in range(1, size):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    bags = {t: draw(st.frozensets(st.integers(1, 6))) for t in ids}
+    return TreeDecomposition(Graph.from_edges(range(1, 7)), ids[0], parent, bags)
+
+
+def reference_postorder(td):
+    kids = {t: [] for t in td.parent}
+    for t, p in td.parent.items():
+        if p is not None:
+            kids[p].append(t)
+    out = []
+
+    def walk(t):
+        for c in sorted(kids[t]):
+            walk(c)
+        out.append(t)
+
+    walk(td.root)
+    return out
+
+
+def reference_depths(td):
+    kids = {t: [] for t in td.parent}
+    for t, p in td.parent.items():
+        if p is not None:
+            kids[p].append(t)
+    depth = {td.root: 0}
+    queue = [td.root]
+    for t in queue:
+        for c in kids[t]:
+            depth[c] = depth[t] + 1
+            queue.append(c)
+    return depth
+
+
+class TestStoredTreeFacts:
+    """Depths and post-order are recorded by the walk that checks the
+    parent map, and a restriction shares them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_decompositions(), st.frozensets(st.integers(1, 8)))
+    def test_match_independent_references(self, td, keep):
+        order, depths = td.postorder(), dict(td.depths())
+        restricted = td.restrict(keep)
+        for d in (td, restricted):
+            assert list(d.postorder()) == reference_postorder(d)
+            assert d.depths() == reference_depths(d)
+        # the restriction shares the tree facts and leaves them as they were
+        assert td.postorder() == order and td.depths() == depths
+        assert restricted.parent == td.parent and restricted.root == td.root
+        assert restricted.bags == {t: b & keep for t, b in td.bags.items()}
+        assert restricted.host.vertices == td.host.vertices & keep
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_decompositions(), st.data())
+    def test_broken_parent_maps_are_rejected(self, td, data):
+        nodes = sorted(td.nodes)
+        non_root = [t for t in nodes if t != td.root]
+        breaks = ["unknown"] + (["cycle", "second-root"] if non_root else [])
+        kind = data.draw(st.sampled_from(breaks))
+        parent = dict(td.parent)
+        if kind == "unknown":
+            parent[data.draw(st.sampled_from(nodes))] = max(nodes) + 1
+        elif kind == "cycle":
+            # hang t below itself or one of its descendants
+            t = data.draw(st.sampled_from(non_root))
+            below = [x for x in nodes if t in self._ancestors(td, x)]
+            parent[t] = data.draw(st.sampled_from(below))
+        else:
+            parent[data.draw(st.sampled_from(non_root))] = None
+        with pytest.raises(InputError):
+            TreeDecomposition(td.host, td.root, parent, td.bags)
+
+    @staticmethod
+    def _ancestors(td, x):
+        out = {x}
+        while td.parent[x] is not None:
+            x = td.parent[x]
+            out.add(x)
+        return out
+
+    @pytest.mark.parametrize(
+        "parent",
+        [
+            {1: None, 2: 3, 3: 2},  # a cycle beside the root
+            {1: None, 2: 2},  # a self-loop
+            {1: None, 2: 1, 3: None},  # a second root
+            {1: None, 2: 9, 3: 1},  # an unknown parent
+        ],
+    )
+    def test_parent_map_errors(self, parent):
+        bags = {t: {1} for t in parent}
+        with pytest.raises(InputError):
+            TreeDecomposition(Graph.from_edges([1]), 1, parent, bags)
 
 
 class TestEdgeComponents:
@@ -455,8 +558,7 @@ class TestEdgeComponents:
             td = shuffled_tree(rng, rng.randint(1, 20))
             nodes = sorted(td.nodes)
             marked = set(rng.sample(nodes, rng.randint(0, min(6, len(nodes))))) | {td.root}
-            depth = td.depths()
-            closed = all(td.lca(a, b, depth) in marked for a in marked for b in marked)
+            closed = all(td.lca(a, b) in marked for a in marked for b in marked)
             if closed:
                 edge_components(td, marked)
             else:
