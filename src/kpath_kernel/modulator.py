@@ -26,7 +26,6 @@ from .treedecomp import (
     edge_components,
     lca_closure,
     lowest_heavy_node,
-    make_connected,
 )
 
 FamilyKey = tuple  # (u, v, k') for two-endpoint families, (u, None, k') otherwise
@@ -421,7 +420,8 @@ def modulator_kernelize(
             break
         if checked is None:
             checked = compute_decomposition(induced_subgraph(work, core_vs))
-        td = _single_child_root(binarize(make_connected(checked)))
+        # compute_decomposition's trees are connected already
+        td = _single_child_root(binarize(checked))
         checked = None
         width = max(len(b) for b in td.bags.values()) - 1
         if width > eta:
@@ -431,10 +431,9 @@ def modulator_kernelize(
         checks.append(BoundCheck.le("a2_size", len(a2), (eta + 1) * len(b2)))
         comps = edge_components(td, b2)
         checks.append(BoundCheck.le("component_count", len(comps), 4 * k * (k + 1) * ell**2 + 1))
+        oversized = [c for c in comps if len(td.bag_union(c.nodes)) > m_threshold]
         progressed = False
-        for comp in comps:
-            if len(td.bag_union(comp.nodes)) <= m_threshold:
-                continue
+        for comp in oversized:
             ctx = build_component_context(cur, td, b2, comp, m_threshold)
             checks.append(BoundCheck.le("s_d_size", len(ctx.s_d), 2 * eta + 2))
             checks.append(BoundCheck.le("v_d_size", len(ctx.v_d), 2 * m_threshold + eta + 1))
@@ -454,8 +453,9 @@ def modulator_kernelize(
                 progressed = True
                 break
         if not progressed:
-            if any(len(td.bag_union(c.nodes)) > m_threshold for c in comps):
-                stalled = True  # possible only under an m_override below the safe formula
+            # oversized components left: possible only under an m_override
+            # below the safe formula
+            stalled = bool(oversized)
             break
 
     # only component calls are recorded before the final one

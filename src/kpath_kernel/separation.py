@@ -20,7 +20,7 @@ from .graphs import (
     open_neighborhood,
     small_separators,
 )
-from .treedecomp import TreeDecomposition, compute_decomposition, make_connected, stats
+from .treedecomp import TreeDecomposition, compute_decomposition, stats
 
 HAS_K_PATH = "has-k-path"
 ProviderAnswer = Union[Separation, str, None]
@@ -55,10 +55,13 @@ def separation_from_decomposition(g: Graph, td: TreeDecomposition, p: int) -> Se
         if len(v_s) > p:
             heavy.append((s, cs))
     if not heavy:
-        a = set(unions[t0])
-        outside = set(td.nodes) - td.subtree_nodes(t0)
-        b = td.bag_union(outside)
-        sep = Separation(frozenset(a), frozenset(b), branch="whole-subtree")
+        # the bags outside the subtree cover V - A and, by connectivity, meet
+        # A only in the adhesion to t0's parent
+        a = unions[t0]
+        b = set(g.vertices) - a
+        if td.parent[t0] is not None:
+            b |= td.bags[t0] & td.bags[td.parent[t0]]
+        sep = Separation(a, frozenset(b), branch="whole-subtree")
     else:
         s, members = heavy[0]
         members = sorted(members, key=lambda c: (len(unions[c]), c))
@@ -123,7 +126,7 @@ class DecompositionSeparationProvider:
     validated once here by ``stats``; restricting it keeps it valid."""
 
     def __init__(self, g0: Graph, td: Optional[TreeDecomposition] = None):
-        self._td0 = td if td is not None else make_connected(compute_decomposition(g0))
+        self._td0 = td if td is not None else compute_decomposition(g0)
         s = stats(self._td0)
         self.h = s.adhesion
         self.width_bound = s.width + 1
@@ -135,7 +138,7 @@ class DecompositionSeparationProvider:
     def find(self, g: Graph, k: int, p: int) -> ProviderAnswer:
         if g.n <= p:
             return None
-        td = self._td0.restrict(set(g.vertices))
+        td = self._td0.restrict(g)
         try:
             return separation_from_decomposition(g, td, p)
         except NotApplicableError:

@@ -81,16 +81,6 @@ class TreeDecomposition:
         is checked; treat as read-only."""
         return self._depth
 
-    def subtree_nodes(self, t: NodeId) -> set[NodeId]:
-        out = {t}
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            for c in self.children[x]:
-                out.add(c)
-                stack.append(c)
-        return out
-
     def postorder(self) -> tuple[NodeId, ...]:
         """Every node after its subtree, children in ascending order.
         Computed once, when the tree is checked; treat as read-only."""
@@ -112,15 +102,14 @@ class TreeDecomposition:
             acc |= self.bags[t]
         return frozenset(acc)
 
-    def restrict(self, keep: Iterable[int]) -> "TreeDecomposition":
-        """Intersect every bag with ``keep``: a decomposition of the induced
-        subgraph on ``keep``. The tree is the same, so its checked parent
-        map, children, depths and post-order are shared, not rebuilt."""
-        ks = set(keep)
-        from .graphs import induced_subgraph
-
+    def restrict(self, host: Graph) -> "TreeDecomposition":
+        """Intersect every bag with the vertices of ``host``, an induced
+        subgraph of this decomposition's host: a decomposition of ``host``.
+        The tree is the same, so its checked parent map, children, depths
+        and post-order are shared, not rebuilt."""
+        ks = set(host.vertices)
         out = copy.copy(self)
-        out.host = induced_subgraph(self.host, ks & set(self.host.vertices))
+        out.host = host
         out.bags = {t: b & ks for t, b in self.bags.items()}
         return out
 
@@ -223,6 +212,12 @@ def make_connected(td: TreeDecomposition) -> TreeDecomposition:
     """Split child subtrees into one copy per component below the parent bag
     and drop adhesion vertices with no neighbor down there. Width and
     adhesion cannot increase; a single top-down pass suffices.
+
+    Neither kernel calls it: their decompositions come from
+    ``compute_decomposition``, which is connected already (see there), and
+    on a connected decomposition this only renumbers the nodes in preorder.
+    It stays for decompositions from elsewhere; its cost is O(n · depth),
+    one component search per child subtree.
 
     Precondition: ``td`` must be a valid decomposition (see ``stats``)."""
     g = td.host
@@ -382,29 +377,20 @@ def lowest_heavy_node(
     vertices, together with that node set. First such node in post-order."""
     if m < 1:
         raise InputError("m must be >= 1")
-    comp_children: dict[NodeId, list[NodeId]] = {t: [] for t in component.nodes}
-    for p, c in component.edges:
-        comp_children[p].append(c)
-    for t in comp_children:
-        comp_children[t].sort()
-    order: list[NodeId] = []
-    stack: list[tuple[NodeId, bool]] = [(component.top, False)]
-    while stack:
-        t, done = stack.pop()
-        if done:
-            order.append(t)
-        else:
-            stack.append((t, True))
-            for c in reversed(comp_children[t]):
-                stack.append((c, False))
+    # the component's nodes span a subtree, so the tree's post-order
+    # filtered to them is the component's own, children ascending
+    nodes = component.nodes
     xset: dict[NodeId, set[int]] = {}
     dset: dict[NodeId, set[NodeId]] = {}
-    for t in order:
+    for t in td.postorder():
+        if t not in nodes:
+            continue
         xs = set(td.bags[t])
         ds = {t}
-        for c in comp_children[t]:
-            xs |= xset[c]
-            ds |= dset[c]
+        for c in td.children[t]:
+            if c in nodes:
+                xs |= xset[c]
+                ds |= dset[c]
         xset[t], dset[t] = xs, ds
         if len(xs) > m:
             return t, frozenset(ds)
@@ -417,7 +403,18 @@ def lowest_heavy_node(
 def compute_decomposition(g: Graph, exact_cap: int = 30) -> TreeDecomposition:
     """A valid rooted decomposition of g: exact minimum width up to
     ``exact_cap`` vertices (branch-and-bound over elimination orders with
-    memoized dead ends), min-fill greedy above it."""
+    memoized dead ends), min-fill greedy above it.
+
+    It is connected (``is_connected_decomposition``), so the kernels use
+    it without ``make_connected``. Node i holds v_i and its neighbours
+    among v_{i+1}..v_n in the graph filled by eliminating v_1..v_{i-1}.
+    By the elimination-tree lemma (Liu, SIAM J. Matrix Anal. Appl. 1990)
+    the vertices below node i, bag included, minus its later neighbours
+    are exactly the component of G[v_1..v_i] that holds v_i, and every
+    later neighbour in the bag has a neighbour in that component. A node
+    with no later neighbour (the last vertex of each component of g but the
+    root's) hangs under the root with an empty adhesion, and what lies
+    below it is that whole component."""
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
     if g.n <= exact_cap:

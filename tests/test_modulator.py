@@ -33,7 +33,6 @@ from kpath_kernel.treedecomp import (
     binarize,
     compute_decomposition,
     edge_components,
-    make_connected,
 )
 
 
@@ -73,7 +72,7 @@ def small_modulator_instance(rng, max_n=20, max_k=4, max_eta=1, max_ell=2):
 def pipeline_decomposition(inst):
     core = set(inst.graph.vertices) - inst.modulator
     td = compute_decomposition(induced_subgraph(inst.graph, core))
-    return binarize(make_connected(td))
+    return binarize(td)
 
 
 class TestRho:

@@ -7,7 +7,7 @@ from kpath_kernel import treedecomp
 from kpath_kernel.driver import kernelize
 from kpath_kernel.errors import InputError, NotApplicableError
 from kpath_kernel.generate import GeneratorSpec, generate
-from kpath_kernel.graphs import Graph, check_separation
+from kpath_kernel.graphs import Graph, check_separation, induced_subgraph
 from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.modulator import modulator_kernelize
 from kpath_kernel.separation import (
@@ -87,6 +87,35 @@ class TestSeparationFromDecomposition:
             assert p < len(sep.side_a) <= w + p * a
             checked += 1
         assert checked > 150
+
+
+    def test_whole_subtree_side_b_is_the_bag_union_outside(self):
+        # restricted trees, as the provider reads them: empty bags, and
+        # decompositions that are no longer connected
+        rng = random.Random(20261018)
+        seen = 0
+        for _ in range(300):
+            g0 = random_graph(rng, rng.randint(4, 16), rng.choice([0.15, 0.3]))
+            keep = {v for v in g0.vertices if rng.random() < 0.8} or {1}
+            g = induced_subgraph(g0, keep)
+            td = compute_decomposition(g0).restrict(g)
+            p = rng.randint(0, g.n - 1)
+            if len(td.bags) == 1 or g.n <= p:
+                continue
+            sep = separation_from_decomposition(g, td, p)
+            if sep.branch != "whole-subtree":
+                continue
+            unions = td.subtree_unions()
+            t0 = next(t for t in td.postorder() if len(unions[t]) > p)
+            below, stack = set(), [t0]
+            while stack:
+                t = stack.pop()
+                below.add(t)
+                stack.extend(td.children[t])
+            assert sep.side_a == unions[t0]
+            assert sep.side_b == td.bag_union(set(td.nodes) - below)
+            seen += 1
+        assert seen > 30
 
 
 class TestTrivialSeparationOracle:

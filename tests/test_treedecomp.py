@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpath_kernel.modulator as modulator_mod
+import kpath_kernel.separation as separation_mod
+import kpath_kernel.treedecomp as treedecomp_mod
+from kpath_kernel.driver import kernelize
 from kpath_kernel.errors import InputError, NotApplicableError
-from kpath_kernel.graphs import Graph
+from kpath_kernel.generate import GeneratorSpec, generate
+from kpath_kernel.graphs import Graph, induced_subgraph
+from kpath_kernel.linkage import solve_linkage
+from kpath_kernel.modulator import modulator_kernelize
+from kpath_kernel.separation import DecompositionSeparationProvider
 from kpath_kernel.treedecomp import (
     TreeDecomposition,
     Violation,
@@ -277,6 +285,69 @@ class TestMakeConnected:
             assert after.adhesion <= before.adhesion
 
 
+@st.composite
+def elimination_graphs(draw):
+    """Graphs for both compute_decomposition paths (exact up to 30
+    vertices, min-fill above), often disconnected, on sparse vertex ids."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(31, 50)))
+    start, step = draw(st.integers(1, 50)), draw(st.integers(1, 7))
+    ids = [start + step * i for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = {(ids[min(a, b)], ids[max(a, b)]) for a, b in pairs if a != b}
+    return Graph.from_edges(ids, sorted(edges))
+
+
+def preorder_renumbered(td):
+    """``td`` with its nodes numbered 1, 2, ... in preorder, children
+    ascending: the numbering ``make_connected`` hands out."""
+    order, stack = [], [td.root]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        stack.extend(reversed(td.children[t]))
+    new = {t: i + 1 for i, t in enumerate(order)}
+    parent = {new[t]: None if p is None else new[p] for t, p in td.parent.items()}
+    bags = {new[t]: b for t, b in td.bags.items()}
+    return TreeDecomposition(td.host, 1, parent, bags)
+
+
+class TestEliminationDecompositionsAreConnected:
+    """compute_decomposition builds a connected decomposition, so the
+    kernels skip make_connected and get the same trees."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(elimination_graphs())
+    def test_make_connected_only_renumbers(self, g):
+        td = compute_decomposition(g)
+        assert is_connected_decomposition(td)
+        out = make_connected(td)
+        expected = preorder_renumbered(td)
+        assert (out.root, out.parent, out.bags) == (expected.root, expected.parent, expected.bags)
+        plain, via = binarize(td), binarize(out)
+        assert (plain.parent, plain.bags) == (via.parent, via.bags)
+
+    def test_kernels_do_not_call_make_connected(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return make_connected(*args, **kwargs)
+
+        # count the calls from every module that imports the function
+        for mod in (modulator_mod, separation_mod, treedecomp_mod):
+            if hasattr(mod, "make_connected"):
+                monkeypatch.setattr(mod, "make_connected", counted)
+        spec = GeneratorSpec(
+            n=14, kind="partial-k-tree", k=5, eta=1, edge_keep_prob=0.6, modulator_size=1, seed=4
+        )
+        inst = generate(spec)
+        run = modulator_kernelize(inst, solve_linkage, m_override=4)
+        assert run.reduction_steps > 0
+        provider = DecompositionSeparationProvider(inst.graph)
+        kernelize(inst.graph, inst.k, provider, solve_linkage)
+        assert calls == []
+
+
 class TestBinarize:
     def test_two_children_unchanged_shape(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (1, 3)])
@@ -457,7 +528,7 @@ class TestStoredTreeFacts:
     @given(random_decompositions(), st.frozensets(st.integers(1, 8)))
     def test_match_independent_references(self, td, keep):
         order, depths = td.postorder(), dict(td.depths())
-        restricted = td.restrict(keep)
+        restricted = td.restrict(induced_subgraph(td.host, td.host.vertices & keep))
         for d in (td, restricted):
             assert list(d.postorder()) == reference_postorder(d)
             assert d.depths() == reference_depths(d)
