@@ -29,10 +29,6 @@ class BoundCheck:
     def le(name: str, measured: int, claimed: int) -> "BoundCheck":
         return BoundCheck(name, claimed, measured, measured <= claimed)
 
-    @staticmethod
-    def lt(name: str, measured: int, claimed: int) -> "BoundCheck":
-        return BoundCheck(name, claimed, measured, measured < claimed)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

@@ -93,6 +93,11 @@ class Graph:
     def vertices(self):
         return self._adj.keys()
 
+    @property
+    def id_bound(self) -> int:
+        """Every vertex id of the graph is below this bound."""
+        return self._next_id
+
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in self._adj:
             for v in self._adj[u]:
@@ -337,8 +342,9 @@ def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> li
 def has_matching(g: Graph, avoid, size: int) -> bool:
     """Does G - avoid have a matching of ``size`` edges?
 
-    A greedy pass answers most yes-instances on its own. When it falls
-    short, Edmonds' augmenting-path search with blossom shrinking (*Paths,
+    A greedy pass answers most yes-instances on its own, and its maximal
+    matching rules out a size above twice its own. Between the two,
+    Edmonds' augmenting-path search with blossom shrinking (*Paths,
     trees, and flowers*, 1965) grows the greedy matching one exposed root
     at a time. A root whose search fails never gains an augmenting path
     later, so it is dropped for good, and the search stops once the
@@ -360,6 +366,10 @@ def has_matching(g: Graph, avoid, size: int) -> bool:
                 if matched == size:
                     return True
                 break
+    # the greedy matching is maximal, and a maximum one has at most twice
+    # its edges: each edge of the maximum one touches a greedy edge
+    if 2 * matched < size:
+        return False
     roots = [v for v in adj if v not in avoid and v not in mate]
     left = len(roots)  # exposed vertices not yet dropped
     for root in roots:

@@ -13,9 +13,11 @@ k-path question, which is how the kernel drivers use this module.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, NotApplicableError, OracleFaultError
 from .graphs import Graph, Path, connected_components, has_matching, is_simple_path
@@ -81,29 +83,147 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
     to be placed; branches are cut when that budget cannot be met by the
     remaining requests or when a pair's endpoints are no longer connected
     through unused non-terminals.
-    Exceeding ``node_budget`` expansions raises, it never mis-answers.
+
+    Each request is a generator that yields once per route it finds, and
+    the search is a list of these generators, one per request placed, so
+    neither the path length nor the number of requests meets Python's
+    recursion limit. Exceeding ``node_budget`` expansions raises, it never
+    mis-answers.
     """
     inst.validate()
     g = inst.graph
-    terms = inst.terminals
     reqs = inst.requests
-    nreq = len(reqs)
-    if nreq == 0:
+    if not reqs:
         return [] if inst.k_prime == 0 else None
+    plan = _plan(g, inst.terminals, inst.k_prime, reqs)
+    if plan is None:
+        return None
+    free_total, order, suffix_lb = plan
+    adj = g.sorted_adjacency()
+    blocked = _marks(g, inst.terminals)
+    spent = [0]
+    limit = sys.maxsize if node_budget is None else node_budget
+    paths: list[Optional[Path]] = [None] * len(reqs)
+    last = len(order) - 1
+
+    def routes(pos: int, free: int) -> Iterator[int]:
+        """Route request ``order[pos]`` in every way that leaves enough of
+        the ``free`` non-terminals for the requests after it (the last
+        request takes exactly what is left). Yields the count left, with
+        the route in ``paths`` and its vertices blocked until resumed."""
+        i = order[pos]
+        r = reqs[i]
+        room = free - suffix_lb[pos + 1]
+        low = room if pos == last else 0
+        if len(r) == 2:
+            u, v = sorted(r)
+            if not _pair_reachable(adj, blocked, u, v):
+                return
+            seq: list[int] = []
+            for _ in _grow(adj, blocked, u, seq, low, room, g.neighbors(v), spent, limit):
+                paths[i] = (u, *seq, v)
+                yield free - len(seq)
+        elif len(r) == 1:
+            (u,) = r
+            seq = []
+            for _ in _grow(adj, blocked, u, seq, low, room, None, spent, limit):
+                paths[i] = (u, *seq)
+                yield free - len(seq)
+        else:
+            for s in sorted(g.vertices):
+                if blocked[s]:
+                    continue
+                blocked[s] = 1
+                seq = [s]
+                for _ in _grow(adj, blocked, s, seq, low, room, None, spent, limit):
+                    # free paths are direction-symmetric: keep one orientation
+                    if len(seq) == 1 or seq[0] < seq[-1]:
+                        paths[i] = tuple(seq)
+                        yield free - len(seq)
+                blocked[s] = 0
+
+    placed = [routes(0, free_total)]
+    while placed:
+        left = next(placed[-1], None)
+        if left is None:
+            placed.pop()
+        elif len(placed) == len(order):
+            return paths
+        else:
+            placed.append(routes(len(placed), left))
+    return None
+
+
+def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
+    """Greedy internally disjoint paths for an instance with one request
+    naming one or two terminals: the path ``solve_linkage`` returns, then
+    the one it returns once that path's interior joins the terminals, and
+    so on until it returns None. A path with no interior ends the packing,
+    as forbidding nothing would find it again. Paths start at the request's
+    smaller terminal.
+
+    One search serves the whole packing. Adding path i's interior to the
+    terminals turns the search tree into its restriction: each branch
+    through a new terminal is cut and the rest keep their order. Search i
+    stopped at the first witness in that order and path i's first hop is
+    now cut, so search i+1 is search i resumed at the next first hop, once
+    the counting tests pass for the new terminal set.
+    """
+    inst.validate()
+    if len(inst.requests) != 1 or not inst.requests[0]:
+        raise InputError("packing needs exactly one request, naming a terminal")
+    g, k_prime, reqs = inst.graph, inst.k_prime, inst.requests
+    u, *rest = sorted(reqs[0])
+    v = rest[0] if rest else None
+    need = k_prime - len(reqs[0])
+    terms = set(inst.terminals)
+    adj = g.sorted_adjacency()
+    blocked = _marks(g, terms)
+    near = None if v is None else g.neighbors(v)
+
+    def feasible() -> bool:
+        if _plan(g, terms, k_prime, reqs) is None:
+            return False
+        return v is None or _pair_reachable(adj, blocked, u, v)
+
+    if not feasible():
+        return
+    seq: list[int] = []
+    search = _grow(adj, blocked, u, seq, need, need, near, [0], sys.maxsize)
+    if next(search, None) is None:
+        return
+    while True:
+        path = (u, *seq) if v is None else (u, *seq, v)
+        yield path
+        if len(path) <= 2:
+            return
+        # the interior stays blocked; a one-terminal path's far end is free
+        if v is None:
+            blocked[seq[-1]] = 0
+        terms.update(path[1:-1])
+        if not feasible():
+            return
+        try:
+            search.send(True)
+        except StopIteration:
+            return
+
+
+def _plan(g: Graph, terms, k_prime: int, reqs) -> Optional[tuple[int, list[int], list[int]]]:
+    """Counting tests that rule an instance out before any search, else
+    the search plan: the free vertices to place, the request order, and
+    the fewest free vertices the requests from each position on need."""
     union_terms = frozenset().union(*reqs)
-    free_total = inst.k_prime - len(union_terms)
+    free_total = k_prime - len(union_terms)
     if free_total < 0:
         return None
-    pool_size = g.n - len(terms)  # the non-terminals, which paths may use
-    if free_total > pool_size:
+    if free_total > g.n - len(terms):  # the non-terminals, which paths may use
         return None
     # each request's non-terminal segment is a path of c vertices in G - T,
     # which holds floor(c/2) >= (c-1)/2 disjoint edges
-    if not has_matching(g, terms, (free_total - nreq + 1) // 2):
+    if not has_matching(g, terms, (free_total - len(reqs) + 1) // 2):
         return None
-    adj = g.sorted_adjacency()
-
-    order = sorted(range(nreq), key=lambda i: (-len(reqs[i]), sorted(reqs[i]), i))
+    order = sorted(range(len(reqs)), key=lambda i: (-len(reqs[i]), sorted(reqs[i]), i))
     lbs = []
     for i in order:
         r = reqs[i]
@@ -117,104 +237,74 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
         suffix_lb[i] = suffix_lb[i + 1] + lbs[i]
     if free_total < suffix_lb[0]:
         return None
+    return free_total, order, suffix_lb
 
-    used: set[int] = set()
-    paths: list[Optional[Path]] = [None] * nreq
-    free = [free_total]
-    expansions = [0]
 
-    def bump() -> None:
-        expansions[0] += 1
-        if node_budget is not None and expansions[0] > node_budget:
-            raise BudgetExceededError(f"exceeded {node_budget} expansions")
+def _marks(g: Graph, marked):
+    """A 0/1 flag per vertex id, set on ``marked``: a bytearray indexed by
+    id, or a dict defaulting to 0 when the ids are too sparse for one (ids
+    read from a file may be any positive integers)."""
+    flags = bytearray(g.id_bound) if g.id_bound <= 16 * g.n + 1024 else defaultdict(int)
+    for x in marked:
+        flags[x] = 1
+    return flags
 
-    def pair_reachable(u: int, v: int) -> bool:
-        seen = {u}
-        stack = [u]
+
+def _pair_reachable(adj: dict, blocked, u: int, v: int) -> bool:
+    """Does a path join u to v through unblocked vertices?"""
+    seen = blocked.copy()
+    stack = [u]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == v:
+                return True
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return False
+
+
+def _grow(adj: dict, blocked, head: int, seq: list, low: int, room: int, near, spent: list, limit: int):
+    """Extend ``seq`` depth first from ``head``, its last vertex (or, while
+    it is empty, the request's terminal), through unblocked vertices,
+    neighbours in ascending order. Yields at every node where a route may
+    stop: ``low <= len(seq)`` and, if ``near`` is given, ``head`` lies in
+    it. A node grows only while ``len(seq) < room``. A vertex is blocked
+    while on ``seq``. Resumed by ``send(True)``, the search leaves the
+    route's blocks to the caller and goes on from the root's next
+    neighbour. ``spent`` counts nodes, and more than ``limit`` raises."""
+    c = base = len(seq)
+    stack: list[Iterator[int]] = []  # one neighbour iterator per inner node on the path
+    while True:
+        spent[0] += 1
+        if spent[0] > limit:
+            raise BudgetExceededError(f"exceeded {limit} expansions")
+        if c >= low and (near is None or head in near) and (yield True):
+            del stack[1:]
+            del seq[base:]
+            c = base
+        elif c < room:
+            stack.append(iter(adj[head]))
+        elif c > base:
+            blocked[seq.pop()] = 0
+            c -= 1
         while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w == v:
-                    return True
-                if w not in terms and w not in used and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return free[0] == 0
-        if free[0] > pool_size - len(used):
-            return False
-        i = order[pos]
-        r = reqs[i]
-        if len(r) == 2:
-            u, v = sorted(r)
-            if not pair_reachable(u, v):
-                return False
-            return pair_dfs(pos, i, u, v, u, [])
-        if len(r) == 1:
-            (u,) = r
-            return open_dfs(pos, i, u, u, [])
-        for s in sorted(g.vertices):
-            if s not in terms and s not in used:
-                used.add(s)
-                if open_dfs(pos, i, None, s, [s]):
-                    return True
-                used.discard(s)
-        return False
-
-    def pair_dfs(pos: int, i: int, u: int, v: int, head: int, seq: list[int]) -> bool:
-        bump()
-        c = len(seq)
-        room = free[0] - suffix_lb[pos + 1]
-        if c <= room and v in g.neighbors(head):
-            paths[i] = (u, *seq, v)
-            free[0] -= c
-            if assign(pos + 1):
-                return True
-            free[0] += c
-            paths[i] = None
-        if c < room:
-            for w in adj[head]:
-                if w not in terms and w not in used:
-                    used.add(w)
-                    seq.append(w)
-                    if pair_dfs(pos, i, u, v, w, seq):
-                        return True
-                    seq.pop()
-                    used.discard(w)
-        return False
-
-    def open_dfs(pos: int, i: int, anchor: Optional[int], head: int, seq: list[int]) -> bool:
-        bump()
-        c = len(seq)
-        room = free[0] - suffix_lb[pos + 1]
-        stop_ok = c <= room
-        if anchor is None:
-            # free paths are direction-symmetric: keep one orientation
-            stop_ok = stop_ok and c >= 1 and (c == 1 or seq[0] < seq[-1])
-        if stop_ok:
-            paths[i] = ((anchor,) if anchor is not None else ()) + tuple(seq)
-            free[0] -= c
-            if assign(pos + 1):
-                return True
-            free[0] += c
-            paths[i] = None
-        if c < room:
-            for w in adj[head]:
-                if w not in terms and w not in used:
-                    used.add(w)
-                    seq.append(w)
-                    if open_dfs(pos, i, anchor, w, seq):
-                        return True
-                    seq.pop()
-                    used.discard(w)
-        return False
-
-    if assign(0):
-        return [p for p in paths]  # type: ignore[list-item]
-    return None
+            for w in stack[-1]:
+                if not blocked[w]:
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    blocked[seq.pop()] = 0
+                    c -= 1
+                continue
+            break
+        else:
+            return
+        blocked[w] = 1
+        seq.append(w)
+        c += 1
+        head = w
 
 
 def brute_force_linkage(inst: LinkageInstance, cap: int = 16) -> Optional[Solution]:

@@ -11,11 +11,12 @@ k-path can cross it. One final oracle call decides the reduced graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Optional
 
 from .errors import InputError, NotApplicableError
 from .graphs import Graph, Path, induced_subgraph, open_neighborhood, reachable
-from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, solve_linkage
+from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, pack_paths
 from .driver import BoundCheck
 from .reduction import _request_universe, mark_and_delete
 from .treedecomp import (
@@ -79,7 +80,8 @@ def find_uvk_path(
     all outside the modulator and outside ``forbidden``. Exact, via the
     linkage solver on g itself: the other modulator vertices and the
     forbidden ones are terminals that no request names, which no path may
-    use, so every call on one graph version shares its adjacency."""
+    use, so every call on one graph version shares its adjacency. It is
+    the first path of the packing ``build_path_families`` makes."""
     mset = frozenset(m_set)
     forb = frozenset(forbidden)
     if u not in mset or (v is not None and v not in mset):
@@ -89,11 +91,8 @@ def find_uvk_path(
     if forb & mset:
         raise InputError("forbidden vertices must lie outside the modulator")
     ends = frozenset({u} if v is None else {u, v})
-    sol = solve_linkage(LinkageInstance(g, k_prime + len(ends), mset | forb, (ends,)))
-    if sol is None:
-        return None
-    path = sol[0]
-    if path[0] != u:
+    path = next(pack_paths(LinkageInstance(g, k_prime + len(ends), mset | forb, (ends,))), None)
+    if path is not None and path[0] != u:
         path = tuple(reversed(path))
     return path
 
@@ -117,7 +116,10 @@ def build_path_families(
     Two-endpoint families run over unordered modulator pairs and
     0 <= k' <= k-2; one-endpoint families over 0 <= k' <= k-1. A family
     shorter than the cap is maximal: the search that would extend it came
-    back empty. a1 collects every non-modulator vertex the kept paths use.
+    back empty. Each family is packed by one ``pack_paths`` search, which
+    resumes after each path instead of starting again, so a first hop one
+    path's search exhausted is not explored again for the next. a1
+    collects every non-modulator vertex the kept paths use.
 
     ``prev``, if given, must have been built for the same k and M on a graph
     of which ``inst.graph`` is an induced subgraph (the graph before a
@@ -150,13 +152,9 @@ def build_path_families(
         found = list(old[:kept])
         # every packed path has internal vertices (k' >= 1 between two
         # endpoints, k' >= 2 from one), and later paths must avoid them
-        forb = {x for p in found for x in p[1:-1]}
-        while len(found) < cap:
-            p = find_uvk_path(g, mset, u, v, kp, forb)
-            if p is None:
-                break
-            found.append(p)
-            forb.update(p[1:-1])
+        forb = frozenset(x for p in found for x in p[1:-1])
+        ends = frozenset({u} if v is None else {u, v})
+        found += islice(pack_paths(LinkageInstance(g, kp + len(ends), mset | forb, (ends,))), cap - kept)
         families[key], truncated[key] = tuple(found), len(found) == cap
 
     for i, u in enumerate(mods):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from kpath_kernel.cli import main
-from kpath_kernel.graphs import Graph, write_graph_text
+from kpath_kernel.graphs import Graph, is_simple_path, write_graph_text
 from kpath_kernel.linkage import LinkageInstance, instance_to_json
 from kpath_kernel.treedecomp import compute_decomposition, write_td
 
@@ -195,6 +195,35 @@ class TestCli:
         assert main(["solve", "--graph", gfile, "--k", str(n),
                      "--method", "bruteforce", "--cap", "2000"]) == 0
         assert last_json(capsys) == {"answer": "yes", "path": list(range(1, n + 1))}
+
+    def test_solve_on_a_long_path(self, tmp_path):
+        # a fresh interpreter, at the default recursion limit: the solver
+        # must not recurse once per path vertex
+        n = 1500
+        g = Graph.from_edges(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+        gfile = write(tmp_path / "long.gr", write_graph_text(g))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpath_kernel.cli", "solve", "--graph", gfile, "--k", str(n)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["answer"] == "yes" and len(out["path"]) == n
+        assert is_simple_path(g, out["path"])
+
+    def test_linkage_solve_with_many_requests(self, tmp_path):
+        # nor once per request
+        r = 1200
+        g = Graph.from_edges(range(1, 2 * r + 1), [(2 * i - 1, 2 * i) for i in range(1, r + 1)])
+        reqs = tuple(frozenset({2 * i - 1, 2 * i}) for i in range(1, r + 1))
+        inst = LinkageInstance(g, 2 * r, frozenset(g.vertices), reqs)
+        f = write(tmp_path / "many.json", json.dumps(instance_to_json(inst)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpath_kernel.cli", "linkage", "solve", f],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "YES"
 
     @pytest.mark.parametrize(
         "text",

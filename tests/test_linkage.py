@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -10,8 +11,8 @@ from kpath_kernel.errors import (
     NotApplicableError,
     OracleFaultError,
 )
-from kpath_kernel import linkage
-from kpath_kernel.graphs import Graph, is_simple_path
+from kpath_kernel import graphs, linkage
+from kpath_kernel.graphs import Graph, has_matching, is_simple_path
 from kpath_kernel.linkage import (
     LinkageInstance,
     OracleStats,
@@ -20,6 +21,7 @@ from kpath_kernel.linkage import (
     decision_to_witness,
     instance_from_json,
     instance_to_json,
+    pack_paths,
     solve_linkage,
     validate_solution,
 )
@@ -123,6 +125,68 @@ class TestSolveLinkage:
         inst = LinkageInstance(g, 3, frozenset({2}), (frozenset(),))
         assert solve_linkage(inst) is None
 
+    def test_witnesses_are_pinned(self):
+        # the kernels keep the vertices of the witnesses they are given, so
+        # which witness comes back is part of the solver's behaviour
+        rng = random.Random(20261018)
+        out = []
+        for _ in range(500):
+            sol = solve_linkage(random_instance(rng))
+            out.append(None if sol is None else [list(p) for p in sol])
+        assert sum(sol is not None for sol in out) == 106
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()[:16]
+        assert digest == "d1aaacfd10aa54d2"
+
+    def test_sparse_vertex_ids_give_the_same_witnesses(self):
+        # ids far above the vertex count are marked in a dict, not a bytearray
+        shift = 10**12
+        rng = random.Random(5)
+        for _ in range(100):
+            inst = random_instance(rng)
+            g = Graph.from_edges(
+                [v + shift for v in inst.graph.vertices],
+                [(a + shift, b + shift) for a, b in inst.graph.edges()],
+            )
+            moved = LinkageInstance(
+                g,
+                inst.k_prime,
+                frozenset(v + shift for v in inst.terminals),
+                tuple(frozenset(v + shift for v in r) for r in inst.requests),
+            )
+            sol, far = solve_linkage(inst), solve_linkage(moved)
+            assert far == (None if sol is None else [tuple(v + shift for v in p) for p in sol])
+
+
+class TestPackPaths:
+    def test_each_path_is_a_fresh_solve_with_the_interiors_forbidden(self):
+        rng = random.Random(20261018)
+        longer = 0
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(3, 10), rng.choice([0.35, 0.5, 0.7]))
+            verts = sorted(g.vertices)
+            ends = frozenset(rng.sample(verts, rng.randint(1, 2)))
+            extra = rng.sample(verts, rng.randint(0, 2))
+            inst = LinkageInstance(g, rng.randint(1, 6), ends | frozenset(extra), (ends,))
+            want = []
+            terms = set(inst.terminals)
+            while True:
+                sol = solve_linkage(LinkageInstance(g, inst.k_prime, frozenset(terms), (ends,)))
+                if sol is None:
+                    break
+                want.append(sol[0])
+                if len(sol[0]) <= 2:
+                    break  # no interior to forbid
+                terms.update(sol[0][1:-1])
+            assert list(pack_paths(inst)) == want, instance_to_json(inst)
+            longer += len(want) > 1
+        assert longer >= 40
+
+    def test_needs_one_request_naming_a_terminal(self):
+        g = Graph.from_edges([1, 2], [(1, 2)])
+        for reqs in ((), (frozenset(),), (frozenset({1}), frozenset({2}))):
+            with pytest.raises(InputError):
+                next(pack_paths(LinkageInstance(g, 2, frozenset({1, 2}), reqs)))
+
 
 def hubs_graph(ell, core, rng=None, p=1.0):
     """ell hubs 1..ell joined to an edgeless core ell+1..ell+core (each
@@ -160,6 +224,22 @@ class TestMatchingPreCheck:
         assert solve_linkage(LinkageInstance(g, 10, frozenset(), (frozenset(),)), node_budget=0) is None
         path = solve_linkage(LinkageInstance(g, 9, frozenset(), (frozenset(),)))[0]
         assert len(path) == 9 and is_simple_path(g, path)
+
+    def test_greedy_matching_bounds_the_answer_without_augmenting(self, monkeypatch):
+        # G - hubs is edgeless: the greedy matching is empty, so no size is
+        # met, and no augmenting-path search is needed to say so
+        real = graphs._augment
+        roots = []
+
+        def counting(adj, avoid, mate, root):
+            roots.append(root)
+            return real(adj, avoid, mate, root)
+
+        monkeypatch.setattr(graphs, "_augment", counting)
+        g = hubs_graph(4, 25)
+        for size in range(1, 14):
+            assert not has_matching(g, frozenset(range(1, 5)), size)
+        assert roots == []
 
     def test_agrees_with_brute_force_where_the_bound_fires(self, monkeypatch):
         real = linkage.has_matching

@@ -15,7 +15,13 @@ from kpath_kernel.graphs import (
     traverses,
 )
 from kpath_kernel.reduction import _request_universe
-from kpath_kernel.linkage import LinkageInstance, OracleStats, counting_oracle, solve_linkage
+from kpath_kernel.linkage import (
+    LinkageInstance,
+    OracleStats,
+    brute_force_linkage,
+    counting_oracle,
+    solve_linkage,
+)
 from kpath_kernel import modulator
 from kpath_kernel.modulator import (
     _component_candidates,
@@ -202,6 +208,52 @@ class TestBuildPathFamilies:
                 assert find_uvk_path(inst.graph, inst.modulator, u, v, kp, internals) is None
                 checked += 1
         assert checked >= 10
+
+
+def brute_force_families(inst):
+    """Every packed family of ``build_path_families`` (two endpoints and
+    k' >= 1, one endpoint and k' >= 2), each by repeated brute-force
+    calls: the first path, then the first that avoids its interior, and so
+    on up to the cap of k + 1. Among paths of one length, brute force's
+    first is the solver's: both walk neighbours in ascending order."""
+    g, k, mset = inst.graph, inst.k, frozenset(inst.modulator)
+    keys = [(u, v, kp) for u, v in itertools.combinations(sorted(mset), 2) for kp in range(1, k - 1)]
+    keys += [(u, None, kp) for u in sorted(mset) for kp in range(2, k)]
+    out = {}
+    for u, v, kp in keys:
+        ends = frozenset({u} if v is None else {u, v})
+        found, forb = [], set()
+        while len(found) < k + 1:
+            sol = brute_force_linkage(LinkageInstance(g, kp + len(ends), mset | forb, (ends,)))
+            if sol is None:
+                break
+            found.append(sol[0])
+            forb.update(sol[0][1:-1])
+        out[(u, v, kp)] = (tuple(found), len(found) == k + 1)
+    return out
+
+
+class TestFamiliesMatchBruteForce:
+    def test_fresh_and_repacked_families_match_the_reference(self):
+        rng = random.Random(20261018)
+        multi = truncated = repacked_checks = 0
+        for _ in range(80):
+            inst = small_modulator_instance(rng, max_n=14, max_k=5, max_eta=2, max_ell=4)
+            fam = build_path_families(inst)
+            want = brute_force_families(inst)
+            assert {key: (fam.families[key], fam.truncated[key]) for key in want} == want
+            multi += sum(len(paths) > 1 for paths, _ in want.values())
+            truncated += sum(flag for _, flag in want.values())
+            g = inst.graph.copy()
+            if fam.a1:
+                for x in rng.sample(sorted(fam.a1), min(len(fam.a1), rng.randint(1, 3))):
+                    g.delete_vertex(x)
+                cur = replace(inst, graph=g)
+                again = build_path_families(cur, fam)
+                want = brute_force_families(cur)
+                assert {key: (again.families[key], again.truncated[key]) for key in want} == want
+                repacked_checks += 1
+        assert multi >= 80 and truncated >= 8 and repacked_checks >= 50
 
 
 class TestRepackPathFamilies:
