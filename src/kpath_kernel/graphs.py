@@ -93,11 +93,6 @@ class Graph:
     def vertices(self):
         return self._adj.keys()
 
-    @property
-    def id_bound(self) -> int:
-        """Every vertex id of the graph is below this bound."""
-        return self._next_id
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in self._adj:
             for v in self._adj[u]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -100,7 +99,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
         return None
     free_total, order, suffix_lb = plan
     adj = g.sorted_adjacency()
-    blocked = _marks(g, inst.terminals)
+    blocked = set(inst.terminals)
     spent = [0]
     limit = sys.maxsize if node_budget is None else node_budget
     paths: list[Optional[Path]] = [None] * len(reqs)
@@ -131,16 +130,16 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
                 yield free - len(seq)
         else:
             for s in sorted(g.vertices):
-                if blocked[s]:
+                if s in blocked:
                     continue
-                blocked[s] = 1
+                blocked.add(s)
                 seq = [s]
                 for _ in _grow(adj, blocked, s, seq, low, room, None, spent, limit):
                     # free paths are direction-symmetric: keep one orientation
                     if len(seq) == 1 or seq[0] < seq[-1]:
                         paths[i] = tuple(seq)
                         yield free - len(seq)
-                blocked[s] = 0
+                blocked.remove(s)
 
     placed = [routes(0, free_total)]
     while placed:
@@ -178,7 +177,7 @@ def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
     need = k_prime - len(reqs[0])
     terms = set(inst.terminals)
     adj = g.sorted_adjacency()
-    blocked = _marks(g, terms)
+    blocked = set(terms)
     near = None if v is None else g.neighbors(v)
 
     def feasible() -> bool:
@@ -199,7 +198,7 @@ def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
             return
         # the interior stays blocked; a one-terminal path's far end is free
         if v is None:
-            blocked[seq[-1]] = 0
+            blocked.remove(seq[-1])
         terms.update(path[1:-1])
         if not feasible():
             return
@@ -240,17 +239,7 @@ def _plan(g: Graph, terms, k_prime: int, reqs) -> Optional[tuple[int, list[int],
     return free_total, order, suffix_lb
 
 
-def _marks(g: Graph, marked):
-    """A 0/1 flag per vertex id, set on ``marked``: a bytearray indexed by
-    id, or a dict defaulting to 0 when the ids are too sparse for one (ids
-    read from a file may be any positive integers)."""
-    flags = bytearray(g.id_bound) if g.id_bound <= 16 * g.n + 1024 else defaultdict(int)
-    for x in marked:
-        flags[x] = 1
-    return flags
-
-
-def _pair_reachable(adj: dict, blocked, u: int, v: int) -> bool:
+def _pair_reachable(adj: dict, blocked: set, u: int, v: int) -> bool:
     """Does a path join u to v through unblocked vertices?"""
     seen = blocked.copy()
     stack = [u]
@@ -258,13 +247,13 @@ def _pair_reachable(adj: dict, blocked, u: int, v: int) -> bool:
         for w in adj[stack.pop()]:
             if w == v:
                 return True
-            if not seen[w]:
-                seen[w] = 1
+            if w not in seen:
+                seen.add(w)
                 stack.append(w)
     return False
 
 
-def _grow(adj: dict, blocked, head: int, seq: list, low: int, room: int, near, spent: list, limit: int):
+def _grow(adj: dict, blocked: set, head: int, seq: list, low: int, room: int, near, spent: list, limit: int):
     """Extend ``seq`` depth first from ``head``, its last vertex (or, while
     it is empty, the request's terminal), through unblocked vertices,
     neighbours in ascending order. Yields at every node where a route may
@@ -286,22 +275,22 @@ def _grow(adj: dict, blocked, head: int, seq: list, low: int, room: int, near, s
         elif c < room:
             stack.append(iter(adj[head]))
         elif c > base:
-            blocked[seq.pop()] = 0
+            blocked.remove(seq.pop())
             c -= 1
         while stack:
             for w in stack[-1]:
-                if not blocked[w]:
+                if w not in blocked:
                     break
             else:
                 stack.pop()
                 if stack:
-                    blocked[seq.pop()] = 0
+                    blocked.remove(seq.pop())
                     c -= 1
                 continue
             break
         else:
             return
-        blocked[w] = 1
+        blocked.add(w)
         seq.append(w)
         c += 1
         head = w

@@ -138,7 +138,7 @@ class TestSolveLinkage:
         assert digest == "d1aaacfd10aa54d2"
 
     def test_sparse_vertex_ids_give_the_same_witnesses(self):
-        # ids far above the vertex count are marked in a dict, not a bytearray
+        # ids far above the vertex count: the witnesses are the same, shifted
         shift = 10**12
         rng = random.Random(5)
         for _ in range(100):
