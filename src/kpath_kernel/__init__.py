@@ -38,7 +38,6 @@ from .treedecomp import (
     EdgeComponent,
     TreeDecomposition,
     binarize,
-    check_unbreakable,
     compute_decomposition,
     edge_components,
     lca_closure,

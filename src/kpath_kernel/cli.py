@@ -20,7 +20,7 @@ from .graphs import brute_force_k_path, parse_int, read_graph_text, vertex_index
 from .linkage import brute_force_linkage, load_instance, solve_linkage
 from .modulator import make_modulator_instance, modulator_kernelize
 from .separation import DecompositionSeparationProvider, TrivialSeparationProvider
-from .suite import SuiteConfig, run_suite, summarize
+from .suite import BRUTE_CAP, SuiteConfig, run_suite, summarize
 from .treedecomp import measure as td_measure, read_td, validate as td_validate
 
 
@@ -170,6 +170,9 @@ def cmd_suite(args) -> int:
     ):
         if value < low:
             raise InputError(f"{name} must be >= {low}")
+    # every instance is checked against brute force, which stops at BRUTE_CAP
+    if args.max_n > BRUTE_CAP:
+        raise InputError(f"max-n must be <= {BRUTE_CAP}, the brute-force reference's cap")
     cfg = SuiteConfig(
         count=args.count,
         seed=args.seed,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InputError, ProtocolError
-from .graphs import Graph, Separation, check_separation, open_neighborhood
+from .graphs import Graph, Separation, check_separation
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle
 from .reduction import make_guarded_region, apply_reduction, p_bound
 from .separation import HAS_K_PATH, trivial_separation_oracle
@@ -113,11 +113,9 @@ def kernelize(
             sep = alt
         if len(sep.side_a) <= p_ask:
             raise ProtocolError("provider returned an undersized separation")
-        region = sep.side_a - sep.side_b
-        guard = frozenset(open_neighborhood(work, region))
-        if not guard <= sep.cut():
+        gr = make_guarded_region(work, sep.side_a - sep.side_b, k)
+        if not gr.boundary <= sep.cut():
             raise ProtocolError("separation does not enclose the region")
-        gr = make_guarded_region(work, region, k, guard)
         before = stats.calls
         work, deleted = apply_reduction(work, gr, solver)
         steps += 1

@@ -6,6 +6,8 @@ the tree-decomposition nodes carrying them (closed under lca), carve the
 remaining tree edges into components, and shrink any component whose
 bags hold too many vertices by oracle-marking every way a well-behaved
 k-path can cross it. One final oracle call decides the reduced graph.
+G - M is decomposed once, when the instance is checked; each round
+restricts that tree to the vertices still alive.
 """
 
 from __future__ import annotations
@@ -382,11 +384,13 @@ def modulator_kernelize(
     """Run reduction rounds until no component is oversized, then decide the
     remainder with a single oracle call (no terminals, one empty request).
 
-    After a deletion round, families are repacked from the last round's
-    (only those that lost a path search again); the decomposition of G - M,
-    marking and components are computed afresh. The first round starts
-    from the decomposition make_modulator_instance checked, if the instance
-    came from there. ``m_override`` substitutes the
+    The tree of G - M is the binarized decomposition make_modulator_instance
+    checked (for an instance built directly, it is asked for one), and
+    after a deletion round it is restricted to the surviving core: the same
+    tree, so still binary with a single-child root, and no bag grows, so the
+    width stays at most eta. Families are repacked from the last round's
+    (only those that lost a path search again); marking and components are
+    computed afresh. ``m_override`` substitutes the
     component threshold (used by step-level safeness tests); the default is
     the smallest provably-progressing value, which at desk scale usually
     means no round fires at all and the final call decides.
@@ -406,6 +410,10 @@ def modulator_kernelize(
     fam = build_path_families(cur)
     a2: frozenset = frozenset()
     checked = inst.core_decomposition
+    if checked is None:
+        checked = make_modulator_instance(work, k, mset, eta).core_decomposition
+    # compute_decomposition's trees are connected already
+    td = _single_child_root(binarize(checked)) if checked is not None else None
 
     while True:
         a1_claim = (k + 1) * k * ell**2
@@ -416,14 +424,6 @@ def modulator_kernelize(
         core_vs = set(work.vertices) - mset
         if not core_vs:
             break
-        if checked is None:
-            checked = compute_decomposition(induced_subgraph(work, core_vs))
-        # compute_decomposition's trees are connected already
-        td = _single_child_root(binarize(checked))
-        checked = None
-        width = max(len(b) for b in td.bags.values()) - 1
-        if width > eta:
-            raise InputError(f"decomposition of G - M has width {width} > eta = {eta}")
         b2, a2 = mark_decomposition(cur, td, fam.a1)
         checks.append(BoundCheck.le("b2_size", len(b2), 2 * k * (k + 1) * ell**2 + 1))
         checks.append(BoundCheck.le("a2_size", len(a2), (eta + 1) * len(b2)))
@@ -448,6 +448,10 @@ def modulator_kernelize(
                 if on_round is not None:
                     on_round(work, deleted)
                 fam = build_path_families(cur, fam)
+                # restricting keeps the tree, so it stays binary with a
+                # single-child root and its width cannot grow; a fresh
+                # min-fill run could come out wider than eta
+                td = td.restrict(induced_subgraph(work, set(work.vertices) - mset))
                 progressed = True
                 break
         if not progressed:

@@ -19,6 +19,10 @@ from .linkage import solve_linkage
 from .modulator import ModulatorInstance, make_modulator_instance, modulator_kernelize
 from .separation import DecompositionSeparationProvider
 
+# the largest graph the brute-force reference decides; no suite instance
+# may be larger
+BRUTE_CAP = 32
+
 
 @dataclass
 class SuiteConfig:
@@ -34,7 +38,6 @@ class SuiteConfig:
     m_override: Optional[int] = None
     jobs: int = 1
     out_dir: str = "."
-    brute_cap: int = 32
 
 
 @dataclass
@@ -89,7 +92,7 @@ def _kernel_answer(inst: ModulatorInstance, cfg: SuiteConfig, truth: bool, check
     deletion round preserves the brute-force answer."""
 
     def on_change(work, deleted):
-        now = brute_force_k_path(work, inst.k, cap=cfg.brute_cap) is not None
+        now = brute_force_k_path(work, inst.k, cap=BRUTE_CAP) is not None
         checks.append(
             {
                 "name": "step_safeness",
@@ -124,7 +127,7 @@ def run_one(cfg: SuiteConfig, index: int) -> RunReport:
     spec = spec_for_index(cfg, index)
     started = time.monotonic()
     inst = generate(spec)
-    truth = brute_force_k_path(inst.graph, inst.k, cap=cfg.brute_cap) is not None
+    truth = brute_force_k_path(inst.graph, inst.k, cap=BRUTE_CAP) is not None
     checks: list[dict] = []
     answers, steps, calls, maxinst = _kernel_answer(inst, cfg, truth, checks)
     agree = all(a == truth for a in answers) and all(c["pass"] for c in checks if c["name"] == "step_safeness")
@@ -166,7 +169,7 @@ def run_suite(cfg: SuiteConfig) -> list[RunReport]:
 
 
 def _disagrees(inst: ModulatorInstance, cfg: SuiteConfig) -> bool:
-    truth = brute_force_k_path(inst.graph, inst.k, cap=cfg.brute_cap) is not None
+    truth = brute_force_k_path(inst.graph, inst.k, cap=BRUTE_CAP) is not None
     checks: list[dict] = []
     answers, *_ = _kernel_answer(inst, cfg, truth, checks)
     bad_steps = any(not c["pass"] for c in checks if c["name"] == "step_safeness")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, NotApplicableError
-from .graphs import Graph, connected_components, parse_int, small_separators, vertex_index
+from .graphs import Graph, connected_components, parse_int, vertex_index
 
 NodeId = int
 
@@ -583,30 +583,6 @@ def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
         else:
             parent[i] = n
     return TreeDecomposition(g, n, parent, bags)
-
-
-def check_unbreakable(
-    g: Graph, x: Iterable[int], q: int, h: int, subset_budget: int = 2_000_000
-) -> bool:
-    """Brute-force the unbreakability of ``x``: every separation of order at
-    most h leaves at most q vertices of x strictly on one side."""
-    if q < 0 or h < 0:
-        raise InputError("q and h must be >= 0")
-    xs = set(x)
-    if not xs <= set(g.vertices):
-        raise InputError("x must be a vertex subset")
-    for cut in small_separators(g, h, subset_budget):
-        counts = [len(c & xs) for c in connected_components(g, within=g.vertices - cut)]
-        total = sum(counts)
-        if total <= 2 * q + 1:
-            continue
-        bits = 1
-        for c in counts:
-            bits |= bits << c
-        for s in range(q + 1, total - q):
-            if (bits >> s) & 1:
-                return False
-    return True
 
 
 # -- PACE-style file format ----------------------------------------------------

@@ -183,6 +183,17 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "InputError", "detail": detail}
 
+    @pytest.mark.parametrize("max_n", ["33", "40"])
+    def test_suite_rejects_max_n_above_the_brute_force_cap(self, workdir, capsys, tmp_path, max_n):
+        # a small count used to draw no instance above the cap and exit 0
+        assert main(["suite", "--count", "3", "--max-n", max_n, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "InputError",
+            "detail": "max-n must be <= 32, the brute-force reference's cap",
+        }
+
     def test_suite_accepts_the_smallest_stream_bounds(self, workdir, capsys, tmp_path):
         assert main(["suite", "--count", "2", "--max-n", "6", "--max-k", "1", "--max-eta", "0",
                      "--max-ell", "0", "--out-dir", str(tmp_path)]) == 0

@@ -7,7 +7,7 @@ import random
 from kpath_kernel.graphs import Graph, check_separation, connected_components
 from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.separation import trivial_separation_oracle
-from kpath_kernel.treedecomp import check_unbreakable, compute_decomposition, stats
+from kpath_kernel.treedecomp import compute_decomposition, stats
 from kpath_kernel.driver import kernelize
 from kpath_kernel.graphs import brute_force_k_path
 from kpath_kernel.separation import DecompositionSeparationProvider, TrivialSeparationProvider
@@ -43,22 +43,6 @@ def naive_treewidth(g):
     return best
 
 
-def naive_unbreakable(g, x, q, h):
-    """All separators of size <= h, all 2-colorings of the components."""
-    verts = sorted(g.vertices)
-    for size in range(min(h, len(verts)) + 1):
-        for cut in itertools.combinations(verts, size):
-            comps = connected_components(g, within=set(verts) - set(cut))
-            for mask in range(1 << len(comps)):
-                side_a = set(cut)
-                side_b = set(cut)
-                for i, comp in enumerate(comps):
-                    (side_a if mask >> i & 1 else side_b).update(comp)
-                if len((side_a - side_b) & x) > q and len((side_b - side_a) & x) > q:
-                    return False
-    return True
-
-
 def naive_separation_exists(g, h, p, q_cap):
     verts = sorted(g.vertices)
     for size in range(min(h, len(verts)) + 1):
@@ -83,18 +67,6 @@ class TestExactTreewidth:
             g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
             td = compute_decomposition(g)
             assert stats(td).width == naive_treewidth(g)
-
-
-class TestUnbreakableCrossCheck:
-    def test_matches_naive_colorings(self):
-        rng = random.Random(777)
-        for _ in range(50):
-            n = rng.randint(2, 8)
-            g = random_graph(rng, n, rng.choice([0.25, 0.5]))
-            x = {v for v in g.vertices if rng.random() < 0.6}
-            q = rng.randint(0, 3)
-            h = rng.randint(0, 2)
-            assert check_unbreakable(g, x, q, h) == naive_unbreakable(g, x, q, h)
 
 
 class TestTrivialOracleCompleteness:

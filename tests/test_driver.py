@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from kpath_kernel import driver
 from kpath_kernel.driver import kernelize
 from kpath_kernel.errors import ProtocolError
 from kpath_kernel.generate import GeneratorSpec, generate
-from kpath_kernel.graphs import Graph, Separation, brute_force_k_path
+from kpath_kernel.graphs import Graph, Separation, brute_force_k_path, open_neighborhood
 from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.reduction import p_bound
 from kpath_kernel.separation import (
@@ -65,6 +66,19 @@ class TestKernelize:
         small = Separation(frozenset({1}), vs)
         with pytest.raises(ProtocolError):
             kernelize(g, 2, FakeProvider(small, h=0), solve_linkage)
+
+    def test_each_region_is_guarded_by_its_full_boundary(self, monkeypatch):
+        seen = []
+        original = driver.apply_reduction
+
+        def recorded(work, gr, oracle):
+            seen.append(gr.guard == gr.boundary == open_neighborhood(work, gr.region))
+            return original(work, gr, oracle)
+
+        monkeypatch.setattr(driver, "apply_reduction", recorded)
+        g = forest(random.Random(6), 20)
+        kernelize(g, 1, DecompositionSeparationProvider(g), solve_linkage)
+        assert seen and all(seen)
 
     def test_loop_fires_and_deletes_on_forests(self):
         rng = random.Random(6)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from kpath_kernel.errors import InputError, NotApplicableError
-from kpath_kernel.generate import GeneratorSpec, generate
+from kpath_kernel.generate import GeneratorSpec, _partial_k_tree, generate
 from kpath_kernel.graphs import (
     Graph,
     brute_force_k_path,
@@ -39,6 +39,7 @@ from kpath_kernel.treedecomp import (
     binarize,
     compute_decomposition,
     edge_components,
+    stats,
 )
 
 
@@ -346,9 +347,52 @@ class TestDecompositionReuse:
                     inst, solve_linkage, m_override=m, on_round=lambda w, d: rounds.append(d)
                 )
                 assert run.reduction_steps == len(rounds)
-                assert len(calls) == 1 + len(rounds)
+                assert len(calls) == 1
                 seen_rounds += len(rounds)
         assert seen_rounds >= 10
+
+    def test_later_rounds_restrict_round_one_tree(self, monkeypatch):
+        trees = []
+        original = modulator.mark_decomposition
+
+        def recorded(inst, td, a1):
+            trees.append((set(inst.graph.vertices) - inst.modulator, td))
+            return original(inst, td, a1)
+
+        monkeypatch.setattr(modulator, "mark_decomposition", recorded)
+        rng = random.Random(41)
+        later = 0
+        for _ in range(20):
+            spec_inst = small_modulator_instance(rng, max_n=16, max_k=3, max_eta=1, max_ell=2)
+            inst = make_modulator_instance(
+                spec_inst.graph, spec_inst.k, spec_inst.modulator, spec_inst.eta
+            )
+            trees.clear()
+            run = modulator_kernelize(inst, solve_linkage, m_override=4)
+            if not trees:
+                continue
+            assert len(trees) == run.reduction_steps + 1
+            _, first = trees[0]
+            for core, td in trees[1:]:
+                assert td.root == first.root and td.parent == first.parent
+                for t, bag in td.bags.items():
+                    assert bag <= first.bags[t] and bag <= core
+                assert set(td.host.vertices) == core
+                later += 1
+        assert later >= 10
+
+    def test_min_fill_can_widen_after_a_deletion(self):
+        # why rounds restrict instead of recomputing: min-fill is not
+        # monotone under vertex deletion, so a fresh run on a round's core
+        # could exceed the eta the instance was accepted with
+        g = Graph()
+        _partial_k_tree(g, random.Random(514), 45, 4, 0.6)
+        td = compute_decomposition(g)
+        assert stats(td).width == 4
+        h = g.copy()
+        h.delete_vertex(8)
+        assert stats(compute_decomposition(h)).width == 5
+        assert stats(td.restrict(h)).width == 4
 
     def test_a_directly_built_instance_decomposes_in_round_one(self):
         rng = random.Random(3)
@@ -358,6 +402,13 @@ class TestDecompositionReuse:
         assert direct == inst
         ours = modulator_kernelize(direct, solve_linkage, m_override=4).to_json()
         assert ours == modulator_kernelize(inst, solve_linkage, m_override=4).to_json()
+
+    def test_a_directly_built_instance_gets_the_one_width_check(self):
+        # a triangle outside a one-vertex modulator has width 2
+        g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3), (3, 4)])
+        direct = modulator.ModulatorInstance(g, 2, frozenset({4}), 1)
+        with pytest.raises(InputError, match="G - M has width 2 > eta = 1"):
+            modulator_kernelize(direct, solve_linkage)
 
 
 def uncapped_candidates(k, eta, s_d, terminals, interior):

@@ -20,7 +20,6 @@ from kpath_kernel.treedecomp import (
     Violation,
     _min_fill_order,
     binarize,
-    check_unbreakable,
     compute_decomposition,
     edge_components,
     lca_closure,
@@ -788,27 +787,6 @@ class TestComputeDecomposition:
         td = compute_decomposition(g)
         assert validate(td).ok
         assert stats(td).width == 1
-
-
-class TestCheckUnbreakable:
-    def test_empty_set_unbreakable(self):
-        g = path_graph(4)
-        assert check_unbreakable(g, set(), 0, 2)
-
-    def test_path_splits_in_the_middle(self):
-        q = 1
-        g = path_graph(2 * q + 3)
-        assert not check_unbreakable(g, set(g.vertices), q, 1)
-
-    def test_clique_is_unbreakable(self):
-        g = Graph.from_edges(range(1, 6), list(itertools.combinations(range(1, 6), 2)))
-        for q in (0, 1):
-            assert check_unbreakable(g, set(g.vertices), q, 3)
-
-    def test_cap(self):
-        g = Graph.from_edges(range(1, 30))
-        with pytest.raises(NotApplicableError):
-            check_unbreakable(g, set(g.vertices), 1, 5, subset_budget=100)
 
 
 class TestPaceFormat:
