@@ -296,23 +296,6 @@ def iter_k_paths(g: Graph, k: int) -> Iterator[Path]:
             on_path.add(w)
 
 
-def reachable(g: Graph, start: int, allowed: Iterable[int]) -> set[int]:
-    """Vertices of ``allowed`` reachable from ``start`` through ``allowed``
-    (``start`` itself need not be in ``allowed``)."""
-    ok = set(allowed)
-    seen = {start}
-    out: set[int] = set()
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for w in g.neighbors(x):
-            if w not in seen and w in ok:
-                seen.add(w)
-                out.add(w)
-                stack.append(w)
-    return out
-
-
 def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> list[set[int]]:
     """Components of g (or of the induced subgraph on ``within``),
     sorted by smallest member."""
@@ -334,7 +317,7 @@ def connected_components(g: Graph, within: Optional[Iterable[int]] = None) -> li
     return comps
 
 
-def has_matching(g: Graph, avoid, size: int) -> bool:
+def has_matching(g: Graph, avoid, size: int, mate: Optional[dict[int, int]] = None) -> bool:
     """Does G - avoid have a matching of ``size`` edges?
 
     A greedy pass answers most yes-instances on its own, and its maximal
@@ -345,12 +328,20 @@ def has_matching(g: Graph, avoid, size: int) -> bool:
     later, so it is dropped for good, and the search stops once the
     matching reaches ``size`` or the exposed roots still untried cannot
     lift it there.
+
+    ``mate``, if given, is a matching of G - avoid (each matched vertex
+    maps to its partner) to start from; it is extended in place, so a
+    caller that asks again after avoiding more vertices can drop the pairs
+    those touch and keep the rest.
     """
     if size <= 0:
         return True
     adj = g.sorted_adjacency()
-    mate: dict[int, int] = {}
-    matched = 0
+    if mate is None:
+        mate = {}
+    matched = len(mate) // 2
+    if matched >= size:
+        return True
     for v, nbrs in adj.items():
         if v in avoid or v in mate:
             continue

@@ -116,7 +116,7 @@ def solve_linkage(inst: LinkageInstance, node_budget: Optional[int] = None) -> O
         low = room if pos == last else 0
         if len(r) == 2:
             u, v = sorted(r)
-            if not _pair_reachable(adj, blocked, u, v):
+            if _route(adj, blocked, u, v) is None:
                 return
             seq: list[int] = []
             for _ in _grow(adj, blocked, u, seq, low, room, g.neighbors(v), spent, limit):
@@ -167,6 +167,12 @@ def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
     stopped at the first witness in that order and path i's first hop is
     now cut, so search i+1 is search i resumed at the next first hop, once
     the counting tests pass for the new terminal set.
+
+    The counting tests are kept from one path to the next, not redone. The
+    matching of G - T that the last test found loses only the pairs that
+    touch the new interior, and ``has_matching`` extends what is left. The
+    u-v route the last reachability test found still joins u to v unless
+    the new interior hits it; only then is a route searched again.
     """
     inst.validate()
     if len(inst.requests) != 1 or not inst.requests[0]:
@@ -179,13 +185,9 @@ def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
     adj = g.sorted_adjacency()
     blocked = set(terms)
     near = None if v is None else g.neighbors(v)
-
-    def feasible() -> bool:
-        if _plan(g, terms, k_prime, reqs) is None:
-            return False
-        return v is None or _pair_reachable(adj, blocked, u, v)
-
-    if not feasible():
+    mate: dict[int, int] = {}
+    route: Optional[set] = set() if v is None else _route(adj, blocked, u, v)
+    if route is None or _plan(g, terms, k_prime, reqs, mate) is None:
         return
     seq: list[int] = []
     search = _grow(adj, blocked, u, seq, need, need, near, [0], sys.maxsize)
@@ -199,8 +201,15 @@ def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
         # the interior stays blocked; a one-terminal path's far end is free
         if v is None:
             blocked.remove(seq[-1])
-        terms.update(path[1:-1])
-        if not feasible():
+        interior = path[1:-1]
+        terms.update(interior)
+        for x in interior:
+            if x in mate:
+                del mate[mate.pop(x)]
+        if not route.isdisjoint(interior):
+            route = _route(adj, blocked, u, v)
+        # of _plan's tests, only these two can fail for a larger terminal set
+        if route is None or need > g.n - len(terms) or not has_matching(g, terms, need // 2, mate):
             return
         try:
             search.send(True)
@@ -208,10 +217,11 @@ def pack_paths(inst: LinkageInstance) -> Iterator[Path]:
             return
 
 
-def _plan(g: Graph, terms, k_prime: int, reqs) -> Optional[tuple[int, list[int], list[int]]]:
+def _plan(g: Graph, terms, k_prime: int, reqs, mate=None) -> Optional[tuple[int, list[int], list[int]]]:
     """Counting tests that rule an instance out before any search, else
     the search plan: the free vertices to place, the request order, and
-    the fewest free vertices the requests from each position on need."""
+    the fewest free vertices the requests from each position on need.
+    ``mate`` is a matching of G - T for ``has_matching`` to start from."""
     union_terms = frozenset().union(*reqs)
     free_total = k_prime - len(union_terms)
     if free_total < 0:
@@ -220,7 +230,7 @@ def _plan(g: Graph, terms, k_prime: int, reqs) -> Optional[tuple[int, list[int],
         return None
     # each request's non-terminal segment is a path of c vertices in G - T,
     # which holds floor(c/2) >= (c-1)/2 disjoint edges
-    if not has_matching(g, terms, (free_total - len(reqs) + 1) // 2):
+    if not has_matching(g, terms, (free_total - len(reqs) + 1) // 2, mate):
         return None
     order = sorted(range(len(reqs)), key=lambda i: (-len(reqs[i]), sorted(reqs[i]), i))
     lbs = []
@@ -239,18 +249,24 @@ def _plan(g: Graph, terms, k_prime: int, reqs) -> Optional[tuple[int, list[int],
     return free_total, order, suffix_lb
 
 
-def _pair_reachable(adj: dict, blocked: set, u: int, v: int) -> bool:
-    """Does a path join u to v through unblocked vertices?"""
-    seen = blocked.copy()
+def _route(adj: dict, blocked: set, u: int, v: int) -> Optional[set]:
+    """The inner vertices of one path from u to v through unblocked
+    vertices, or None if there is no such path."""
+    parent = {u: u}
     stack = [u]
     while stack:
-        for w in adj[stack.pop()]:
+        x = stack.pop()
+        for w in adj[x]:
             if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
+                route = set()
+                while x != u:
+                    route.add(x)
+                    x = parent[x]
+                return route
+            if w not in parent and w not in blocked:
+                parent[w] = x
                 stack.append(w)
-    return False
+    return None
 
 
 def _grow(adj: dict, blocked: set, head: int, seq: list, low: int, room: int, near, spent: list, limit: int):

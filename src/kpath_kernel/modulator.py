@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .errors import InputError, NotApplicableError
-from .graphs import Graph, Path, induced_subgraph, open_neighborhood, reachable
+from .graphs import Graph, Path, induced_subgraph, open_neighborhood
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, pack_paths
 from .driver import BoundCheck
 from .reduction import _request_universe, mark_and_delete
@@ -120,8 +120,10 @@ def build_path_families(
     shorter than the cap is maximal: the search that would extend it came
     back empty. Each family is packed by one ``pack_paths`` search, which
     resumes after each path instead of starting again, so a first hop one
-    path's search exhausted is not explored again for the next. a1
-    collects every non-modulator vertex the kept paths use.
+    path's search exhausted is not explored again for the next. A pair
+    with no u-v path through G - M gets empty families from the first
+    reachability test of each ``pack_paths`` call. a1 collects every
+    non-modulator vertex the kept paths use.
 
     ``prev``, if given, must have been built for the same k and M on a graph
     of which ``inst.graph`` is an induced subgraph (the graph before a
@@ -161,17 +163,11 @@ def build_path_families(
 
     for i, u in enumerate(mods):
         for v in mods[i + 1 :]:
-            # all two-endpoint paths run through the non-modulator part
-            linked = g.has_edge(u, v) or bool(reachable(g, u, nonmod | {v}) & {v})
             for kp in range(0, max(0, k - 1)):
                 key = (u, v, kp)
                 if kp == 0:
                     fam = [(u, v)] if g.has_edge(u, v) else []
                     families[key] = tuple(fam)
-                    truncated[key] = False
-                    continue
-                if not linked:
-                    families[key] = ()
                     truncated[key] = False
                     continue
                 pack(key)

@@ -282,10 +282,40 @@ def matching_number(g, avoid=()):
     return len(nx.max_weight_matching(h, maxcardinality=True))
 
 
-def assert_matching_threshold(g, avoid=frozenset()):
+def random_matching(rng, g, avoid):
+    """A random matching of G - avoid, as has_matching's mate dict."""
+    edges = [(u, v) for u, v in sorted(g.edges()) if u not in avoid and v not in avoid]
+    rng.shuffle(edges)
+    mate = {}
+    for u, v in edges[: rng.randint(0, len(edges))]:
+        if u not in mate and v not in mate:
+            mate[u], mate[v] = v, u
+    return mate
+
+
+def is_matching_of(g, avoid, mate):
+    return all(
+        mate.get(w) == v and g.has_edge(v, w) and v not in avoid and w not in avoid
+        for v, w in mate.items()
+    )
+
+
+def assert_matching_threshold(g, avoid=frozenset(), starts=None):
+    """has_matching against networkx's nu for sizes around nu; with a
+    ``starts`` rng, also from a random starting matching of G - avoid,
+    which must stay a matching and keep its matched vertices matched."""
     nu = matching_number(g, avoid)
     for size in range(max(0, nu - 2), nu + 3):
-        assert has_matching(g, avoid, size) == (size <= nu), (sorted(g.edges()), sorted(avoid), size)
+        where = (sorted(g.edges()), sorted(avoid), size)
+        assert has_matching(g, avoid, size) == (size <= nu), where
+        if starts is None:
+            continue
+        start = random_matching(starts, g, avoid)
+        mate = dict(start)
+        ok = has_matching(g, avoid, size, mate)
+        assert ok == (size <= nu), (*where, start)
+        assert is_matching_of(g, avoid, mate) and start.keys() <= mate.keys(), (*where, start)
+        assert ok == (size <= 0 or len(mate) // 2 >= size), (*where, start)
     return nu
 
 
@@ -297,11 +327,12 @@ def cycle(n, first=1):
 class TestHasMatching:
     def test_random_graphs_with_avoided_vertices(self):
         rng = random.Random(20261018)
+        starts = random.Random(20261019)
         for _ in range(300):
             n = rng.randint(1, 16)
             g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5]))
             avoid = frozenset(rng.sample(sorted(g.vertices), rng.randint(0, n // 3)))
-            assert_matching_threshold(g, avoid)
+            assert_matching_threshold(g, avoid, starts)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_cycles(self, n):
@@ -332,12 +363,13 @@ class TestHasMatching:
         # leaves the greedy pass a different matching to repair
         edges = cycle(5) + [(3, 6), (6, 7), (7, 8), (8, 9), (9, 6), (1, 10), (8, 11)]
         rng = random.Random(3)
+        starts = random.Random(4)
         for _ in range(60):
             perm = list(range(1, 12))
             rng.shuffle(perm)
             relabel = dict(zip(range(1, 12), perm))
             g = Graph.from_edges(range(1, 12), [(relabel[u], relabel[v]) for u, v in edges])
-            assert assert_matching_threshold(g) == 5
+            assert assert_matching_threshold(g, starts=starts) == 5
 
     def test_large_star(self):
         g = Graph.from_edges(range(1, 401), [(1, v) for v in range(2, 401)])

@@ -157,8 +157,24 @@ class TestSolveLinkage:
             assert far == (None if sol is None else [tuple(v + shift for v in p) for p in sol])
 
 
+def fresh_packing(inst):
+    """Repeated fresh solves, each with the last path's interior added to
+    the terminals: what pack_paths must yield."""
+    (ends,) = inst.requests
+    want = []
+    terms = set(inst.terminals)
+    while True:
+        sol = solve_linkage(LinkageInstance(inst.graph, inst.k_prime, frozenset(terms), (ends,)))
+        if sol is None:
+            return want
+        want.append(sol[0])
+        if len(sol[0]) <= 2:
+            return want  # no interior to forbid
+        terms.update(sol[0][1:-1])
+
+
 class TestPackPaths:
-    def test_each_path_is_a_fresh_solve_with_the_interiors_forbidden(self):
+    def test_each_path_is_a_fresh_solve_with_the_interiors_forbidden(self, monkeypatch):
         rng = random.Random(20261018)
         longer = 0
         for _ in range(400):
@@ -167,19 +183,59 @@ class TestPackPaths:
             ends = frozenset(rng.sample(verts, rng.randint(1, 2)))
             extra = rng.sample(verts, rng.randint(0, 2))
             inst = LinkageInstance(g, rng.randint(1, 6), ends | frozenset(extra), (ends,))
-            want = []
-            terms = set(inst.terminals)
-            while True:
-                sol = solve_linkage(LinkageInstance(g, inst.k_prime, frozenset(terms), (ends,)))
-                if sol is None:
-                    break
-                want.append(sol[0])
-                if len(sol[0]) <= 2:
-                    break  # no interior to forbid
-                terms.update(sol[0][1:-1])
+            want = fresh_packing(inst)
             assert list(pack_paths(inst)) == want, instance_to_json(inst)
             longer += len(want) > 1
         assert longer >= 40
+
+        # Larger and denser graphs, and hubs over a sparse core, reach every
+        # branch of the kept tests: a route the new interior hits is searched
+        # again, a kept matching below the size is extended, and each test
+        # ends some packing on a resume.
+        seen = dict(recomputed=0, route_cut=0, extended=0, matching_cut=0)
+        packing = {"routes": 0, "mates": None}
+        real_route, real_matching = linkage._route, linkage.has_matching
+
+        def route(adj, blocked, u, v):
+            found = real_route(adj, blocked, u, v)
+            if packing["mates"] is not None:
+                packing["routes"] += 1
+                if packing["routes"] > 1:
+                    seen["recomputed"] += 1
+                    seen["route_cut"] += found is None
+            return found
+
+        def matching(g, avoid, size, mate=None):
+            mates = packing["mates"]
+            resumed = mates is not None and any(m is mate for m in mates)
+            if mates is not None and not resumed:
+                mates.append(mate)
+            seen["extended"] += resumed and len(mate) // 2 < size
+            ok = real_matching(g, avoid, size, mate)
+            seen["matching_cut"] += resumed and not ok
+            return ok
+
+        monkeypatch.setattr(linkage, "_route", route)
+        monkeypatch.setattr(linkage, "has_matching", matching)
+        for trial in range(600):
+            if trial % 2:
+                g = random_graph(rng, rng.randint(10, 16), rng.choice([0.3, 0.5, 0.8]))
+            else:
+                ell = rng.randint(2, 5)
+                g = hubs_graph(ell, rng.randint(6, 12), rng, rng.choice([0.5, 0.8]))
+                for a, b in itertools.combinations(range(1, ell + 1), 2):
+                    if rng.random() < 0.5:
+                        g.add_edge(a, b)
+            verts = sorted(g.vertices)
+            ends = frozenset(rng.sample(verts, rng.randint(1, 2)))
+            extra = rng.sample(verts, rng.randint(0, 2))
+            inst = LinkageInstance(g, rng.randint(2, 9), ends | frozenset(extra), (ends,))
+            want = fresh_packing(inst)
+            packing.update(routes=0, mates=[])
+            assert list(pack_paths(inst)) == want, instance_to_json(inst)
+            packing["mates"] = None
+        assert seen["recomputed"] >= 80 and seen["route_cut"] >= 60, seen
+        assert seen["extended"] >= 300 and seen["matching_cut"] >= 40, seen
 
     def test_needs_one_request_naming_a_terminal(self):
         g = Graph.from_edges([1, 2], [(1, 2)])
@@ -245,8 +301,8 @@ class TestMatchingPreCheck:
         real = linkage.has_matching
         decided = []
 
-        def counting(g, avoid, size):
-            ok = real(g, avoid, size)
+        def counting(g, avoid, size, mate=None):
+            ok = real(g, avoid, size, mate)
             if not ok:
                 decided.append(size)
             return ok
