@@ -386,7 +386,10 @@ def modulator_kernelize(
     tree, so still binary with a single-child root, and no bag grows, so the
     width stays at most eta. Families are repacked from the last round's
     (only those that lost a path search again); marking and components are
-    computed afresh. ``m_override`` substitutes the
+    computed afresh. A component whose reduction deleted nothing is not
+    reduced again with the same v_d and s_d: M is fixed and rounds only
+    delete vertices, so g_d = G[v_d ∪ M] and the candidates are the same,
+    and so are the answers. ``m_override`` substitutes the
     component threshold (used by step-level safeness tests); the default is
     the smallest provably-progressing value, which at desk scale usually
     means no round fires at all and the final call decides.
@@ -402,6 +405,7 @@ def modulator_kernelize(
     cur = replace(inst, graph=work)
     rounds = 0
     components_reduced = 0
+    futile: set[tuple[frozenset, frozenset]] = set()  # (v_d, s_d) that deleted nothing
     stalled = False
     fam = build_path_families(cur)
     a2: frozenset = frozenset()
@@ -431,6 +435,8 @@ def modulator_kernelize(
             ctx = build_component_context(cur, td, b2, comp, m_threshold)
             checks.append(BoundCheck.le("s_d_size", len(ctx.s_d), 2 * eta + 2))
             checks.append(BoundCheck.le("v_d_size", len(ctx.v_d), 2 * m_threshold + eta + 1))
+            if (ctx.v_d, ctx.s_d) in futile:
+                continue
             calls_before = stats.calls
             work2, deleted = reduce_component(cur, ctx, m_threshold, solver)
             checks.append(
@@ -450,6 +456,7 @@ def modulator_kernelize(
                 td = td.restrict(induced_subgraph(work, set(work.vertices) - mset))
                 progressed = True
                 break
+            futile.add((ctx.v_d, ctx.s_d))
         if not progressed:
             # oversized components left: possible only under an m_override
             # below the safe formula

@@ -555,6 +555,48 @@ def uncapped_reduction(inst, ctx):
     return frozenset(set(ctx.v_d) - marked - set(ctx.s_d)), len(candidates)
 
 
+class TestFutileComponents:
+    def test_a_component_that_deleted_nothing_is_not_reduced_again(self, monkeypatch):
+        # M is fixed and rounds only delete vertices, so a later context with
+        # the same v_d and s_d has the same g_d and candidates; reducing it
+        # again would delete nothing again
+        built, reduced = [], []
+        real_build, real_reduce = modulator.build_component_context, modulator.reduce_component
+
+        def build(inst, td, b2, component, m_threshold):
+            ctx = real_build(inst, td, b2, component, m_threshold)
+            built.append((inst, ctx))
+            return ctx
+
+        def reduce(inst, ctx, m_threshold, oracle):
+            out = real_reduce(inst, ctx, m_threshold, oracle)
+            reduced.append((ctx, out[1]))
+            return out
+
+        monkeypatch.setattr(modulator, "build_component_context", build)
+        monkeypatch.setattr(modulator, "reduce_component", reduce)
+        rng = random.Random(41)
+        skipped = 0
+        for _ in range(30):
+            spec_inst = small_modulator_instance(rng, max_n=40, max_k=4, max_eta=2, max_ell=3)
+            inst = make_modulator_instance(
+                spec_inst.graph, spec_inst.k, spec_inst.modulator, spec_inst.eta
+            )
+            built.clear()
+            reduced.clear()
+            modulator_kernelize(inst, solve_linkage, m_override=4)
+            futile = [(ctx.v_d, ctx.s_d) for ctx, deleted in reduced if not deleted]
+            assert len(futile) == len(set(futile))
+            done = {id(ctx) for ctx, _ in reduced}
+            for cur, ctx in built:
+                if id(ctx) in done:
+                    continue
+                assert (ctx.v_d, ctx.s_d) in futile
+                assert not real_reduce(cur, ctx, 4, solve_linkage)[1]
+                skipped += 1
+        assert skipped >= 15
+
+
 class TestComponentCandidateCap:
     def test_same_deletions_as_the_uncapped_loop_with_fewer_calls(self):
         rng = random.Random(20261018)
