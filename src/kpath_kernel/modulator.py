@@ -219,19 +219,20 @@ def rho(eta: int, ell: int) -> int:
 def mark_decomposition(
     inst: ModulatorInstance, td: TreeDecomposition, a1
 ) -> tuple[frozenset, frozenset]:
-    """Pick one node per marked vertex (shallowest bag, then lowest id),
+    """Pick one node per marked vertex, the shallowest node holding it,
     close under lca together with the root, and return the node set and the
-    union of its bags."""
+    union of its bags.
+
+    Precondition: ``td`` must be a valid decomposition (see ``stats``).
+    Then the nodes holding x span a subtree, and its top, the shallowest
+    holder, is the one node whose parent's bag lacks x (the root's parent
+    bag counts as empty)."""
     a1 = frozenset(a1)
     core_vertices = set(td.host.vertices)
     if not a1 <= core_vertices:
         raise InputError("marked vertices must avoid the modulator")
-    depth = td.depths()
-    holder: dict[int, int] = {}
-    for t in sorted(td.nodes, key=lambda t: (depth[t], t)):
-        for x in td.bags[t]:
-            holder.setdefault(x, t)
-    b1 = {holder[x] for x in a1}
+    bags, empty = td.bags, frozenset()
+    b1 = {t for t, p in td.parent.items() if not (bags[t] & a1) <= bags.get(p, empty)}
     b2 = lca_closure(td, b1)
     a2 = td.bag_union(b2)
     return b2, frozenset(a2)

@@ -68,6 +68,7 @@ class TreeDecomposition:
             raise InputError("parent map is not connected")
         self._depth = depth
         self._postorder = tuple(reversed(visits))
+        self._rank = {t: i for i, t in enumerate(self._postorder)}
 
     @property
     def nodes(self):
@@ -105,8 +106,8 @@ class TreeDecomposition:
     def restrict(self, host: Graph) -> "TreeDecomposition":
         """Intersect every bag with the vertices of ``host``, an induced
         subgraph of this decomposition's host: a decomposition of ``host``.
-        The tree is the same, so its checked parent map, children, depths
-        and post-order are shared, not rebuilt."""
+        The tree is the same, so its checked parent map, children, depths,
+        post-order and post-order rank are shared, not rebuilt."""
         ks = set(host.vertices)
         out = copy.copy(self)
         out.host = host
@@ -301,8 +302,7 @@ def _adjacent_lcas(td: TreeDecomposition, ts: Iterable[NodeId]) -> set:
     Post-order keeps every subtree contiguous, so these are all the
     pairwise lcas of ``ts``, and ``ts`` with them is closed under lca
     (the virtual-tree lemma): |ts| - 1 lca calls instead of |ts|²/2."""
-    rank = {t: i for i, t in enumerate(td.postorder())}
-    seq = sorted(ts, key=rank.__getitem__)
+    seq = sorted(ts, key=td._rank.__getitem__)
     return {td.lca(a, b) for a, b in zip(seq, seq[1:])}
 
 
@@ -329,44 +329,36 @@ class EdgeComponent:
 
 
 def edge_components(td: TreeDecomposition, b2: Iterable[NodeId]) -> list[EdgeComponent]:
+    """The edge components of the lca-closed, root-containing set ``b2``,
+    sorted by (depth of top, top, smallest child id among their edges).
+
+    One walk down the tree: an edge whose parent is marked starts a
+    component, and every other edge joins its parent edge's."""
     marked = set(b2)
     if td.root not in marked:
         raise InputError("marked set must contain the root")
-    depth = td.depths()
     if not _adjacent_lcas(td, marked) <= marked:
         raise InputError("marked set must be closed under lca")
-    edges = td.tree_edges()
-    idx = {e: i for i, e in enumerate(edges)}
-    dsu = list(range(len(edges)))
-
-    def find(x: int) -> int:
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        dsu[find(x)] = find(y)
-
-    incident: dict[NodeId, list[int]] = {}
-    for e, i in idx.items():
-        incident.setdefault(e[0], []).append(i)
-        incident.setdefault(e[1], []).append(i)
-    for t, inc in incident.items():
-        if t not in marked:
-            for i in inc[1:]:
-                union(inc[0], i)
-    groups: dict[int, list[tuple[NodeId, NodeId]]] = {}
-    for e, i in idx.items():
-        groups.setdefault(find(i), []).append(e)
+    comp_of: dict[NodeId, list] = {}  # child end of an edge -> its component's edges
+    groups: list[tuple[NodeId, list]] = []  # (top, edges)
+    for t in reversed(td.postorder()):
+        p = td.parent[t]
+        if p is None:
+            continue
+        if p in marked:
+            groups.append((p, []))
+            comp_of[t] = groups[-1][1]
+        else:
+            comp_of[t] = comp_of[p]
+        comp_of[t].append((p, t))
+    depth = td.depths()
+    groups.sort(key=lambda g: (depth[g[0]], g[0], min(c for _, c in g[1])))
     out = []
-    for es in groups.values():
-        nodes = frozenset(itertools.chain.from_iterable(es))
-        anchors = frozenset(nodes & marked)
-        top = min(nodes, key=lambda t: (depth[t], t))
-        assert len(anchors) <= 2 and top in anchors
+    for top, es in groups:
+        nodes = frozenset(c for _, c in es) | {top}
+        anchors = nodes & marked
+        assert len(anchors) <= 2
         out.append(EdgeComponent(frozenset(es), nodes, anchors, top))
-    out.sort(key=lambda c: (depth[c.top], c.top, min(c.nodes)))
     return out
 
 

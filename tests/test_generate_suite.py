@@ -2,15 +2,18 @@ import hashlib
 import importlib
 import json
 import os
+import random
 
 import pytest
 
 import kpath_kernel.modulator as modulator_mod
+from kpath_kernel.driver import kernelize
 from kpath_kernel.errors import InputError, SuiteFailure
 from kpath_kernel.generate import GeneratorSpec, generate
-from kpath_kernel.graphs import brute_force_k_path, induced_subgraph, write_graph_text
+from kpath_kernel.graphs import Graph, brute_force_k_path, induced_subgraph, write_graph_text
 from kpath_kernel.linkage import solve_linkage
-from kpath_kernel.modulator import modulator_kernelize
+from kpath_kernel.modulator import make_modulator_instance, modulator_kernelize
+from kpath_kernel.separation import DecompositionSeparationProvider
 from kpath_kernel.suite import (
     RunReport,
     SuiteConfig,
@@ -197,3 +200,28 @@ class TestSuite:
         rep = run_one(cfg, 0)
         inst = generate(spec_for_index(cfg, 0))
         assert rep.brute_force_answer == (brute_force_k_path(inst.graph, inst.k) is not None)
+
+
+class TestRelabelling:
+    def test_permuted_far_ids_give_the_same_answers(self):
+        # node, vertex and tie orders all follow the ids, so a random
+        # permutation shifted by 10**12 sends every kernel down other
+        # paths; the answers must stay and every audit must hold
+        shift = 10**12
+        rng = random.Random(11)
+        cfg = SuiteConfig()
+        for i in range(30):
+            inst = generate(spec_for_index(cfg, i))
+            vs = sorted(inst.graph.vertices)
+            relabel = dict(zip(vs, (shift + v for v in rng.sample(vs, len(vs)))))
+            g = Graph.from_edges(
+                relabel.values(), [(relabel[a], relabel[b]) for a, b in inst.graph.edges()]
+            )
+            moved = make_modulator_instance(g, inst.k, {relabel[v] for v in inst.modulator}, inst.eta)
+            runs = [modulator_kernelize(moved, solve_linkage, m_override=m) for m in (None, 4)]
+            if g.n <= 40:
+                runs.append(kernelize(g, inst.k, DecompositionSeparationProvider(g), solve_linkage))
+            before = modulator_kernelize(inst, solve_linkage).answer
+            for run in runs:
+                assert run.answer == before, i
+                assert all(c.passed for c in run.bound_checks), (i, run.to_json())

@@ -664,6 +664,64 @@ class TestEdgeComponents:
                                 walk, e1, e2
                             )
 
+    @pytest.mark.parametrize(
+        "parent, marked, want",
+        [
+            # both components below 2 hold 2 as their smallest node
+            (
+                {1: None, 2: 1, 7: 2, 3: 2, 8: 7, 4: 3},
+                {1, 2},
+                [{(1, 2)}, {(2, 3), (3, 4)}, {(2, 7), (7, 8)}],
+            ),
+            # a component's smallest child need not hang from its top
+            ({1: None, 5: 1, 4: 1, 2: 5}, {1}, [{(1, 5), (5, 2)}, {(1, 4)}]),
+        ],
+    )
+    def test_ties_at_one_top_go_by_smallest_child(self, parent, marked, want):
+        td = TreeDecomposition(Graph.from_edges([1]), 1, parent, {t: {1} for t in parent})
+        assert [c.edges for c in edge_components(td, marked)] == want
+
+    def test_modulator_trees_keep_the_union_find_order(self):
+        # the modulator reduces the first oversized component that deletes
+        # something, so on its trees the order is behaviour: there
+        # binarize numbers nodes in preorder, and the sort key must give
+        # the union-find's order (groups by first edge in parent-map
+        # order, stably sorted by depth of top, top and smallest node)
+        rng = random.Random(37)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice([0.15, 0.3]))
+            td = modulator_mod._single_child_root(binarize(compute_decomposition(g)))
+            nodes = sorted(td.nodes)
+            b2 = lca_closure(td, rng.sample(nodes, rng.randint(0, min(5, len(nodes)))))
+            want = self._union_find_order(td, b2)
+            assert [c.edges for c in edge_components(td, b2)] == want
+
+    @staticmethod
+    def _union_find_order(td, marked):
+        edges = td.tree_edges()
+        groups, seen = [], set()
+        for e in edges:
+            if e in seen:
+                continue
+            seen.add(e)
+            group, stack = [e], [e]
+            while stack:
+                a = stack.pop()
+                for f in edges:
+                    if f not in seen and (set(a) & set(f)) - marked:
+                        seen.add(f)
+                        group.append(f)
+                        stack.append(f)
+            groups.append(frozenset(group))
+        depth = reference_depths(td)
+
+        def key(es):
+            nodes = {x for e in es for x in e}
+            top = min(nodes, key=lambda t: (depth[t], t))
+            return (depth[top], top, min(nodes))
+
+        return sorted(groups, key=key)
+
     @staticmethod
     def _tree_path(td, x, y, depth):
         up_x, up_y = [x], [y]
@@ -687,6 +745,43 @@ class TestEdgeComponents:
         return (e1 in pairs or tuple(reversed(e1)) in pairs) and (
             e2 in pairs or tuple(reversed(e2)) in pairs
         )
+
+
+class TestMarkDecompositionHolders:
+    """``mark_decomposition`` marks, for each vertex, the node whose
+    parent's bag lacks it. On a valid decomposition that is the shallowest
+    node holding it (lowest id on a tie, which cannot occur)."""
+
+    @staticmethod
+    def _shallowest_holders(td, a1):
+        depth = reference_depths(td)
+        return {
+            min((t for t, b in td.bags.items() if x in b), key=lambda t: (depth[t], t))
+            for x in a1
+        }
+
+    def test_matches_brute_force_holders(self, monkeypatch):
+        picked = []
+        original = modulator_mod.lca_closure
+
+        def recorded(td, b1):
+            picked.append(set(b1))
+            return original(td, b1)
+
+        monkeypatch.setattr(modulator_mod, "lca_closure", recorded)
+        rng = random.Random(43)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12), 0.3)
+            td = worsened_decomposition(rng, g)
+            keep = set(rng.sample(sorted(g.vertices), rng.randint(1, g.n)))
+            for d in (td, binarize(td), td.restrict(induced_subgraph(g, keep))):
+                assert validate(d).ok
+                verts = sorted(d.host.vertices)
+                a1 = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+                picked.clear()
+                # mark_decomposition reads no field of the instance
+                modulator_mod.mark_decomposition(None, d, a1)
+                assert picked == [self._shallowest_holders(d, a1)]
 
 
 class TestLowestHeavyNode:
