@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .errors import InputError, NotApplicableError
-from .graphs import Graph, Path, induced_subgraph, open_neighborhood
+from .graphs import Graph, Path, connected_components, induced_subgraph, open_neighborhood
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, pack_paths
 from .driver import BoundCheck
 from .reduction import _request_universe, mark_and_delete
@@ -197,15 +197,7 @@ def _single_child_root(td: TreeDecomposition) -> TreeDecomposition:
     The component count argument charges at most two components per marked
     node but only one for the root; a single-child root makes that exact.
     """
-    if len(td.children[td.root]) <= 1:
-        return td
-    new_root = max(td.nodes) + 1
-    parent = dict(td.parent)
-    parent[td.root] = new_root
-    parent[new_root] = None
-    bags = dict(td.bags)
-    bags[new_root] = td.bags[td.root]
-    return TreeDecomposition(td.host, new_root, parent, bags)
+    return td.lift_root() if len(td.children[td.root]) > 1 else td
 
 
 def rho(eta: int, ell: int) -> int:
@@ -216,9 +208,7 @@ def rho(eta: int, ell: int) -> int:
     return 1 + sum(base**j for j in range(4 * eta + 5))
 
 
-def mark_decomposition(
-    inst: ModulatorInstance, td: TreeDecomposition, a1
-) -> tuple[frozenset, frozenset]:
+def mark_decomposition(td: TreeDecomposition, a1) -> tuple[frozenset, frozenset]:
     """Pick one node per marked vertex, the shallowest node holding it,
     close under lca together with the root, and return the node set and the
     union of its bags.
@@ -270,27 +260,50 @@ def build_component_context(
 
 
 def _component_candidates(
-    k: int, eta: int, s_d: frozenset, terminals: frozenset, interior: int
+    k: int, eta: int, g_d: Graph, s_d: frozenset, terminals: frozenset
 ) -> list[tuple[int, tuple[frozenset, ...]]]:
-    """Candidate (k', requests) pairs for one component.
+    """Candidate (k', requests) pairs for one component, leaving out those
+    that counting shows have no witness on ``g_d``.
 
     Requests hold one boundary vertex and possibly a second vertex of the
     boundary or the modulator. A well-behaved k-path induces at most
     min(4*eta+4, k) requests, each of whose paths owns at least one interior
     vertex, so patterns with r + |union of requests| > k' can never arise
-    and are skipped. The paths' other vertices are among the ``interior``
-    ones, |v_d - s_d|, so k' stops at |union of requests| + interior: a
-    larger k' is a no the solver would give by counting alone. Together
-    the two limits leave no k' for a pattern of more than ``interior``
-    requests, so such patterns are never grown.
-    """
-    ordered = _request_universe(s_d, terminals)
-    rmax = min(4 * eta + 4, k, interior)
-    patterns: list[tuple[tuple[frozenset, ...], int]] = []
+    and are skipped.
 
-    def grow(start: int, cur: list[frozenset], union: frozenset) -> None:
+    A path meets the terminals only at its ends, so the interior vertices
+    of a request's path are one segment inside one component of
+    g_d - terminals that touches each terminal of the request (a pair may
+    instead be the edge between its two). A pair with neither a shared
+    component nor an edge is left out of the request universe; a single
+    request always has the path (z,). The k' - |U| free vertices of a
+    pattern with union U then fit only if each request takes at most its
+    largest usable component and the r requests use at most r distinct
+    components touching U, which caps k'; a free path (the empty request)
+    fits in the largest component. All components together are the
+    interior, so a pattern of more requests than interior vertices gets
+    no k' and is never grown.
+    """
+    comps = connected_components(g_d, g_d.vertices - terminals)
+    interior = sum(len(c) for c in comps)
+    comps.sort(key=len, reverse=True)  # component i is the i-th largest
+    sizes = [len(c) for c in comps]
+    comp_of = {x: i for i, c in enumerate(comps) for x in c}
+    touch = {t: frozenset(comp_of[x] for x in g_d.neighbors(t) if x in comp_of) for t in terminals}
+    # each kept request with the largest component its path can use
+    largest = {}
+    for r in _request_universe(s_d, terminals):
+        shared = frozenset.intersection(*[touch[t] for t in r])
+        if len(r) == 1 or shared or g_d.has_edge(*r):
+            largest[r] = sizes[min(shared)] if shared else 0
+    ordered = list(largest)
+    rmax = min(4 * eta + 4, k, interior)
+    patterns: list[tuple[tuple[frozenset, ...], int, int]] = []
+
+    def grow(start: int, cur: list[frozenset], union: frozenset, reach: int, near: frozenset) -> None:
         if cur:
-            patterns.append((tuple(cur), len(union)))
+            top = sum(sizes[i] for i in sorted(near)[: len(cur)])
+            patterns.append((tuple(cur), len(union), min(reach, top)))
         if len(cur) == rmax:
             return
         for idx in range(start, len(ordered)):
@@ -299,15 +312,15 @@ def _component_candidates(
             if len(cur) + 1 + len(nu) > k:
                 continue
             cur.append(r)
-            grow(idx, cur, nu)
+            grow(idx, cur, nu, reach + largest[r], near.union(*[touch[t] for t in r - union]))
             cur.pop()
 
-    grow(0, [], frozenset())
+    grow(0, [], frozenset(), 0, frozenset())
     out: list[tuple[int, tuple[frozenset, ...]]] = []
-    for kp in range(min(k, interior) + 1):
+    for kp in range(min(k, sizes[0] if sizes else 0) + 1):
         out.append((kp, (frozenset(),)))
-    for pat, usize in patterns:
-        for kp in range(len(pat) + usize, min(k, usize + interior) + 1):
+    for pat, usize, free in patterns:
+        for kp in range(len(pat) + usize, min(k, usize + free) + 1):
             out.append((kp, pat))
     return out
 
@@ -326,8 +339,7 @@ def reduce_component(
             f"|v_d| = {len(ctx.v_d)} <= m_threshold = {m_threshold}; nothing to reduce"
         )
     terminals = frozenset(ctx.s_d | inst.modulator)
-    interior = len(ctx.v_d - ctx.s_d)
-    candidates = _component_candidates(inst.k, inst.eta, ctx.s_d, terminals, interior)
+    candidates = _component_candidates(inst.k, inst.eta, ctx.g_d, ctx.s_d, terminals)
     return mark_and_delete(inst.graph, ctx.g_d, terminals, candidates, oracle)
 
 
@@ -425,7 +437,7 @@ def modulator_kernelize(
         core_vs = set(work.vertices) - mset
         if not core_vs:
             break
-        b2, a2 = mark_decomposition(cur, td, fam.a1)
+        b2, a2 = mark_decomposition(td, fam.a1)
         checks.append(BoundCheck.le("b2_size", len(b2), 2 * k * (k + 1) * ell**2 + 1))
         checks.append(BoundCheck.le("a2_size", len(a2), (eta + 1) * len(b2)))
         comps = edge_components(td, b2)

@@ -114,6 +114,22 @@ class TreeDecomposition:
         out.bags = {t: b & ks for t, b in self.bags.items()}
         return out
 
+    def lift_root(self) -> "TreeDecomposition":
+        """Put a copy of the root bag above the root, as a new root with
+        the next free id. The checked tree is extended, not walked again:
+        every depth grows by one and the new root ends the post-order."""
+        top = max(self.nodes) + 1
+        out = copy.copy(self)
+        out.root = top
+        out.parent = {**self.parent, self.root: top, top: None}
+        out.bags = {**self.bags, top: self.bags[self.root]}
+        out.children = {**self.children, top: [self.root]}
+        out._depth = {t: d + 1 for t, d in self._depth.items()}
+        out._depth[top] = 0
+        out._postorder = self._postorder + (top,)
+        out._rank = {**self._rank, top: len(self._postorder)}
+        return out
+
     def lca(self, a: NodeId, b: NodeId) -> NodeId:
         d = self._depth
         while d[a] > d[b]:

@@ -352,12 +352,12 @@ class TestDecompositionReuse:
         assert seen_rounds >= 10
 
     def test_later_rounds_restrict_round_one_tree(self, monkeypatch):
-        trees = []
+        trees, cores = [], []
         original = modulator.mark_decomposition
 
-        def recorded(inst, td, a1):
-            trees.append((set(inst.graph.vertices) - inst.modulator, td))
-            return original(inst, td, a1)
+        def recorded(td, a1):
+            trees.append(td)
+            return original(td, a1)
 
         monkeypatch.setattr(modulator, "mark_decomposition", recorded)
         rng = random.Random(41)
@@ -368,12 +368,18 @@ class TestDecompositionReuse:
                 spec_inst.graph, spec_inst.k, spec_inst.modulator, spec_inst.eta
             )
             trees.clear()
-            run = modulator_kernelize(inst, solve_linkage, m_override=4)
+            cores.clear()
+            run = modulator_kernelize(
+                inst,
+                solve_linkage,
+                m_override=4,
+                on_round=lambda w, d: cores.append(set(w.vertices) - inst.modulator),
+            )
             if not trees:
                 continue
             assert len(trees) == run.reduction_steps + 1
-            _, first = trees[0]
-            for core, td in trees[1:]:
+            first = trees[0]
+            for core, td in zip(cores, trees[1:]):
                 assert td.root == first.root and td.parent == first.parent
                 for t, bag in td.bags.items():
                     assert bag <= first.bags[t] and bag <= core
@@ -439,20 +445,114 @@ def uncapped_candidates(k, eta, s_d, terminals, interior):
     return out
 
 
+def random_component_graph(rng, eta):
+    """A small g_d: boundary s_d, modulator vertices and a few non-terminals
+    joined at random, so some terminals touch no component of g_d - T and
+    some pairs share none."""
+    n = rng.randint(3, 9)
+    g = Graph.from_edges(range(1, n + 1))
+    p = rng.choice([0.2, 0.35, 0.5])
+    for u, v in itertools.combinations(range(1, n + 1), 2):
+        if rng.random() < p:
+            g.add_edge(u, v)
+    s_d = frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(2 * eta + 2, n - 1))))
+    rest = sorted(set(range(1, n + 1)) - s_d)
+    mods = frozenset(rng.sample(rest, rng.randint(0, min(2, len(rest) - 1))))
+    return g, s_d, s_d | mods
+
+
+def dropped_candidates(got, ref):
+    """The candidates of ``ref`` missing from ``got``; fails unless ``got``
+    is an in-order subsequence of ``ref``."""
+    rest, dropped = iter(ref), []
+    for c in got:
+        for r in rest:
+            if r == c:
+                break
+            dropped.append(r)
+        else:
+            pytest.fail(f"{c} is not in order in the uncapped list")
+    dropped.extend(rest)
+    return dropped
+
+
 class TestComponentCandidates:
-    def test_same_list_as_growing_every_pattern(self):
-        rng = random.Random(20261018)
-        nonempty = 0
-        for _ in range(300):
-            k = rng.randint(1, 9)
+    def test_a_subsequence_missing_only_noes(self):
+        # the dropped candidates are checked with the independent reference
+        rng = random.Random(20261019)
+        dropped = kept = 0
+        for _ in range(200):
+            k = rng.randint(1, 7)
             eta = rng.randint(0, 2)
-            s_d = frozenset(rng.sample(range(1, 12), rng.randint(1, 2 * eta + 2)))
-            mods = frozenset(rng.sample(range(20, 26), rng.randint(0, 3)))
-            interior = rng.randint(0, k + 2)
-            got = _component_candidates(k, eta, s_d, s_d | mods, interior)
-            assert got == uncapped_candidates(k, eta, s_d, s_d | mods, interior)
-            nonempty += any(len(pat) > 1 for _, pat in got)
-        assert nonempty >= 50
+            g, s_d, terms = random_component_graph(rng, eta)
+            got = _component_candidates(k, eta, g, s_d, terms)
+            ref = uncapped_candidates(k, eta, s_d, terms, len(g.vertices - terms))
+            for kp, pat in dropped_candidates(got, ref):
+                assert brute_force_linkage(LinkageInstance(g, kp, terms, pat)) is None, (kp, pat)
+                dropped += 1
+            kept += sum(len(pat) > 1 for _, pat in got)
+        assert dropped >= 2000 and kept >= 1000
+
+    def test_a_single_request_at_a_terminal_with_no_component(self):
+        # s_d = {1, 2}; the only non-terminals, 3-4, hang off 1, and 2 is
+        # isolated: {2} is still routed, as the path (2,)
+        g = Graph.from_edges([1, 2, 3, 4], [(1, 3), (3, 4)])
+        got = _component_candidates(4, 1, g, frozenset({1, 2}), frozenset({1, 2}))
+        pat = (frozenset({1}), frozenset({2}))
+        assert (4, pat) in got
+        assert not any(frozenset({2}) in p and len(p) == 1 for _, p in got)
+        sol = brute_force_linkage(LinkageInstance(g, 4, frozenset({1, 2}), pat))
+        assert sol == [(1, 3, 4), (2,)]
+
+    def test_a_pair_joined_only_by_an_edge(self):
+        # the pair {1, 2} shares no component, but the edge 1-2 routes it
+        # with no free vertex, so it is asked only beside a request that
+        # reaches 3-4
+        g = Graph.from_edges([1, 2, 3, 4], [(1, 2), (1, 3), (3, 4)])
+        terms = frozenset({1, 2})
+        got = _component_candidates(4, 1, g, terms, terms)
+        pair = frozenset({1, 2})
+        assert [c for c in got if pair in c[1]] == [(4, (frozenset({1}), pair))]
+        sol = brute_force_linkage(LinkageInstance(g, 4, terms, (frozenset({1}), pair)))
+        assert sol == [(1, 3, 4), (1, 2)]
+
+    def test_a_pair_with_no_link_is_never_asked(self):
+        # 1 reaches only 3 and 2 only 4, with no edge 1-2: every pattern
+        # holding {1, 2} is a no, and none is grown
+        g = Graph.from_edges([1, 2, 3, 4], [(1, 3), (2, 4)])
+        terms = frozenset({1, 2})
+        pair = frozenset({1, 2})
+        got = _component_candidates(5, 1, g, terms, terms)
+        assert got and not any(pair in pat for _, pat in got)
+        ref = uncapped_candidates(5, 1, terms, terms, 2)
+        with_pair = [c for c in dropped_candidates(got, ref) if pair in c[1]]
+        assert with_pair
+        for kp, pat in with_pair:
+            assert brute_force_linkage(LinkageInstance(g, kp, terms, pat)) is None
+
+    def test_kernel_rounds_match_the_uncapped_candidates(self, monkeypatch):
+        def uncapped(k, eta, g_d, s_d, terminals):
+            return uncapped_candidates(k, eta, s_d, terminals, len(g_d.vertices - terminals))
+
+        def run(inst, candidates):
+            monkeypatch.setattr(modulator, "_component_candidates", candidates)
+            rounds = []
+            out = modulator_kernelize(inst, solve_linkage, m_override=4, on_round=lambda w, d: rounds.append(d))
+            return out, rounds
+
+        rng = random.Random(20261019)
+        fewer = fired = 0
+        for _ in range(30):
+            inst = small_modulator_instance(rng, max_n=30, max_k=4, max_eta=2, max_ell=3)
+            ours, our_rounds = run(inst, _component_candidates)
+            ref, ref_rounds = run(inst, uncapped)
+            assert our_rounds == ref_rounds
+            assert ours.answer == ref.answer
+            assert ours.stats.calls <= ref.stats.calls
+            assert all(c.passed for c in ours.bound_checks)
+            fewer += ours.stats.calls < ref.stats.calls
+            fired += bool(our_rounds)
+        assert fewer >= 20 and fired >= 10
 
 
 class TestMarkDecomposition:
@@ -460,7 +560,7 @@ class TestMarkDecomposition:
         rng = random.Random(2)
         inst = small_modulator_instance(rng, max_ell=0)
         td = pipeline_decomposition(inst)
-        b2, a2 = mark_decomposition(inst, td, frozenset())
+        b2, a2 = mark_decomposition(td, frozenset())
         assert b2 == frozenset({td.root})
         assert a2 == td.bags[td.root]
 
@@ -472,7 +572,7 @@ class TestMarkDecomposition:
                 continue
             fam = build_path_families(inst)
             td = pipeline_decomposition(inst)
-            b2, a2 = mark_decomposition(inst, td, fam.a1)
+            b2, a2 = mark_decomposition(td, fam.a1)
             assert fam.a1 <= a2
             assert len(a2) <= (inst.eta + 1) * len(b2)
             for x in b2:
@@ -487,7 +587,7 @@ class TestReduceComponent:
             return []
         td = pipeline_decomposition(inst)
         fam = build_path_families(inst)
-        b2, _ = mark_decomposition(inst, td, fam.a1)
+        b2, _ = mark_decomposition(td, fam.a1)
         out = []
         for comp in edge_components(td, b2):
             if len(td.bag_union(comp.nodes)) > m:

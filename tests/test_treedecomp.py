@@ -779,8 +779,7 @@ class TestMarkDecompositionHolders:
                 verts = sorted(d.host.vertices)
                 a1 = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
                 picked.clear()
-                # mark_decomposition reads no field of the instance
-                modulator_mod.mark_decomposition(None, d, a1)
+                modulator_mod.mark_decomposition(d, a1)
                 assert picked == [self._shallowest_holders(d, a1)]
 
 
