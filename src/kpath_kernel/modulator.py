@@ -285,9 +285,9 @@ def _component_candidates(
     no k' and is never grown.
     """
     comps = connected_components(g_d, g_d.vertices - terminals)
-    interior = sum(len(c) for c in comps)
     comps.sort(key=len, reverse=True)  # component i is the i-th largest
     sizes = [len(c) for c in comps]
+    interior = sum(sizes)
     comp_of = {x: i for i, c in enumerate(comps) for x in c}
     touch = {t: frozenset(comp_of[x] for x in g_d.neighbors(t) if x in comp_of) for t in terminals}
     # each kept request with the largest component its path can use
@@ -317,7 +317,7 @@ def _component_candidates(
 
     grow(0, [], frozenset(), 0, frozenset())
     out: list[tuple[int, tuple[frozenset, ...]]] = []
-    for kp in range(min(k, sizes[0] if sizes else 0) + 1):
+    for kp in range(min(k, max(sizes, default=0)) + 1):
         out.append((kp, (frozenset(),)))
     for pat, usize, free in patterns:
         for kp in range(len(pat) + usize, min(k, usize + free) + 1):

@@ -418,8 +418,10 @@ class TestDecompositionReuse:
 
 
 def uncapped_candidates(k, eta, s_d, terminals, interior):
-    """Reference for _component_candidates that grows every pattern of up to
-    min(4*eta+4, k) requests, also those with no k' left to ask."""
+    """The candidates of the interior cap alone, a superset of what
+    _component_candidates asks: every pattern of up to min(4*eta+4, k)
+    requests over the whole request universe, with k' <= |U| + interior,
+    also the patterns with no k' left to ask."""
     ordered = _request_universe(s_d, terminals)
     rmax = min(4 * eta + 4, k)
     patterns = []
