@@ -80,7 +80,7 @@ def corpus(workload) -> dict:
             on_change = lambda g, d: deleted.append(sorted(d))  # noqa: E731
             if workload.kind == "modkernel":
                 inst = modulator.make_modulator_instance(case.graph, case.k, case.modulator, case.eta)
-                run = modulator.modulator_kernelize(inst, oracle, m_override=workload.m_override, on_round=on_change)
+                run = modulator.modulator_kernelize(inst, oracle, m_override=workload.m_override, on_step=on_change)
             else:
                 provider = separation.DecompositionSeparationProvider(case.graph)
                 run = driver.kernelize(case.graph, case.k, provider, oracle, on_step=on_change)

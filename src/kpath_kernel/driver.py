@@ -40,13 +40,14 @@ class BoundCheck:
 
 @dataclass
 class KernelRun:
+    """What either kernel reports: the shared fields, then ``extras``, the
+    kernel's own report fields in the order ``to_json`` writes them."""
+
     answer: bool
     stats: OracleStats
     reduction_steps: int
     final_graph_size: int
-    p_threshold: int
-    h_hat: int
-    bound_unverified: bool = False
+    extras: dict = field(default_factory=dict)
     bound_checks: list[BoundCheck] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -56,8 +57,7 @@ class KernelRun:
             "max_instance_vertices": self.stats.max_instance_vertices,
             "reduction_steps": self.reduction_steps,
             "final_graph_size": self.final_graph_size,
-            "bounds": {"p_threshold": self.p_threshold, "h_hat": self.h_hat},
-            "bound_unverified": self.bound_unverified,
+            **self.extras,
             "bound_checks": [c.to_json() for c in self.bound_checks],
         }
 
@@ -85,6 +85,7 @@ def kernelize(
     h_hat = (2 * h_eff) ** (4 * h_eff + 3)
     p_threshold = k * p_bound(k, h, h)
     p_ask = p_threshold + h
+    bounds = {"p_threshold": p_threshold, "h_hat": h_hat}
     stats = OracleStats()
     solver = counting_oracle(oracle, stats)
     checks: list[BoundCheck] = []
@@ -97,7 +98,8 @@ def kernelize(
         found = provider.find(work, k, p_ask)
         if found == HAS_K_PATH:
             checks.append(BoundCheck.le("p_threshold_vs_k2_h_hat", p_threshold, k * k * h_hat))
-            return KernelRun(True, stats, steps, work.n, p_threshold, h_hat, False, checks)
+            extras = {"bounds": bounds, "bound_unverified": False}
+            return KernelRun(True, stats, steps, work.n, extras, checks)
         if found is None:
             unverified = True
             break
@@ -106,7 +108,7 @@ def kernelize(
         sep = found
         if sep.order > h:
             # decomposition too coarse; try the exhaustive fallback
-            alt = trivial_separation_oracle(work, h, p_ask, provider.q(k, p_ask))
+            alt = trivial_separation_oracle(work, h, p_ask, provider.q(p_ask))
             if alt is None:
                 unverified = True
                 break
@@ -127,7 +129,7 @@ def kernelize(
             )
         )
         checks.append(
-            BoundCheck.le("reduction_instance_size", stats.max_instance_vertices, provider.q(k, p_ask))
+            BoundCheck.le("reduction_instance_size", stats.max_instance_vertices, provider.q(p_ask))
         )
         if on_step is not None:
             on_step(work, deleted)
@@ -137,4 +139,5 @@ def kernelize(
     checks.append(BoundCheck.le("total_oracle_calls", stats.calls, p_bound(k, h, h) * n0 + 1))
     checks.append(BoundCheck.le("reduction_steps", steps, n0))
     checks.append(BoundCheck.le("p_threshold_vs_k2_h_hat", p_threshold, k * k * h_hat))
-    return KernelRun(answer, stats, steps, work.n, p_threshold, h_hat, unverified, checks)
+    extras = {"bounds": bounds, "bound_unverified": unverified}
+    return KernelRun(answer, stats, steps, work.n, extras, checks)

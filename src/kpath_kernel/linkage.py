@@ -529,12 +529,6 @@ class OracleStats:
             self.calls += 1
             self.max_instance_vertices = max(self.max_instance_vertices, vertices)
 
-    def to_json(self) -> dict:
-        return {
-            "calls": self.calls,
-            "max_instance_vertices": self.max_instance_vertices,
-        }
-
 
 def counting_oracle(inner: LinkageSolver, stats: OracleStats) -> LinkageSolver:
     """Decorate a solver so every call is logged; answers pass through."""

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from .errors import InputError, NotApplicableError
 from .graphs import Graph, Path, connected_components, induced_subgraph, open_neighborhood
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, pack_paths
-from .driver import BoundCheck
+from .driver import BoundCheck, KernelRun
 from .reduction import _request_universe, mark_and_delete
 from .treedecomp import (
     EdgeComponent,
@@ -353,43 +353,12 @@ def default_m_threshold(k: int, ell: int, eta: int) -> int:
     return (k + 1) * k * rho(eta, ell) + (2 * eta + 2) + 1
 
 
-@dataclass
-class ModulatorRun:
-    answer: bool
-    stats: OracleStats
-    reduction_steps: int
-    final_graph_size: int
-    m_threshold: int
-    rho_value: int
-    final_size_bound: int
-    components_reduced: int
-    families_truncated: int
-    progress_stalled: bool = False
-    bound_checks: list[BoundCheck] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "answer": "yes" if self.answer else "no",
-            "oracle_calls": self.stats.calls,
-            "max_instance_vertices": self.stats.max_instance_vertices,
-            "reduction_steps": self.reduction_steps,
-            "final_graph_size": self.final_graph_size,
-            "final_size_bound": self.final_size_bound,
-            "m_threshold": self.m_threshold,
-            "rho": self.rho_value,
-            "components_reduced": self.components_reduced,
-            "families_truncated": self.families_truncated,
-            "progress_stalled": self.progress_stalled,
-            "bound_checks": [c.to_json() for c in self.bound_checks],
-        }
-
-
 def modulator_kernelize(
     inst: ModulatorInstance,
     oracle: LinkageSolver,
     m_override: Optional[int] = None,
-    on_round: Optional[Callable[[Graph, frozenset], None]] = None,
-) -> ModulatorRun:
+    on_step: Optional[Callable[[Graph, frozenset], None]] = None,
+) -> KernelRun:
     """Run reduction rounds until no component is oversized, then decide the
     remainder with a single oracle call (no terminals, one empty request).
 
@@ -460,8 +429,8 @@ def modulator_kernelize(
                 work = work2
                 cur = replace(inst, graph=work)
                 rounds += 1
-                if on_round is not None:
-                    on_round(work, deleted)
+                if on_step is not None:
+                    on_step(work, deleted)
                 fam = build_path_families(cur, fam)
                 # restricting keeps the tree, so it stays binary with a
                 # single-child root and its width cannot grow; a fresh
@@ -487,16 +456,12 @@ def modulator_kernelize(
     bound = explicit_size_bound(k, ell, m_threshold, len(a2))
     if not stalled:
         checks.append(BoundCheck.le("final_graph_size", work.n, bound))
-    return ModulatorRun(
-        answer,
-        stats,
-        rounds,
-        work.n,
-        m_threshold,
-        rho_value,
-        bound,
-        components_reduced,
-        fam.truncated_count,
-        stalled,
-        checks,
-    )
+    extras = {
+        "final_size_bound": bound,
+        "m_threshold": m_threshold,
+        "rho": rho_value,
+        "components_reduced": components_reduced,
+        "families_truncated": fam.truncated_count,
+        "progress_stalled": stalled,
+    }
+    return KernelRun(answer, stats, rounds, work.n, extras, checks)

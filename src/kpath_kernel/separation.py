@@ -132,7 +132,7 @@ class DecompositionSeparationProvider:
         self.width_bound = s.width + 1
         self.degree_bound = max(s.adhesion_degree, 2)
 
-    def q(self, k: int, p: int) -> int:
+    def q(self, p: int) -> int:
         return self.width_bound + p * self.degree_bound
 
     def find(self, g: Graph, k: int, p: int) -> ProviderAnswer:
@@ -149,17 +149,16 @@ class TrivialSeparationProvider:
     """Exhaustive-search provider with a declared order bound ``h``;
     searches the window (p, 2p + h] like the decomposition's group branch."""
 
-    def __init__(self, h: int, subset_budget: int = 2_000_000):
+    def __init__(self, h: int):
         self.h = h
-        self.subset_budget = subset_budget
 
-    def q(self, k: int, p: int) -> int:
+    def q(self, p: int) -> int:
         return 2 * p + self.h
 
     def find(self, g: Graph, k: int, p: int) -> ProviderAnswer:
         if g.n <= p:
             return None
         try:
-            return trivial_separation_oracle(g, self.h, p, self.q(k, p), self.subset_budget)
+            return trivial_separation_oracle(g, self.h, p, self.q(p))
         except NotApplicableError:
             return None

@@ -103,23 +103,19 @@ def _kernel_answer(inst: ModulatorInstance, cfg: SuiteConfig, truth: bool, check
         )
 
     hook = on_change if cfg.check_steps else None
-    answers = []
-    steps = calls = maxinst = 0
+    # each run's bound checks go right after its step_safeness entries
+    runs = []
     if cfg.mode in ("modkernel", "both"):
-        run = modulator_kernelize(inst, solve_linkage, m_override=cfg.m_override, on_round=hook)
-        answers.append(run.answer)
-        checks.extend(c.to_json() for c in run.bound_checks)
-        steps += run.reduction_steps
-        calls += run.stats.calls
-        maxinst = max(maxinst, run.stats.max_instance_vertices)
+        runs.append(modulator_kernelize(inst, solve_linkage, m_override=cfg.m_override, on_step=hook))
+        checks.extend(c.to_json() for c in runs[-1].bound_checks)
     if cfg.mode in ("kernelize", "both"):
         provider = DecompositionSeparationProvider(inst.graph)
-        run = kernelize(inst.graph, inst.k, provider, solve_linkage, on_step=hook)
-        answers.append(run.answer)
-        checks.extend(c.to_json() for c in run.bound_checks)
-        steps += run.reduction_steps
-        calls += run.stats.calls
-        maxinst = max(maxinst, run.stats.max_instance_vertices)
+        runs.append(kernelize(inst.graph, inst.k, provider, solve_linkage, on_step=hook))
+        checks.extend(c.to_json() for c in runs[-1].bound_checks)
+    answers = [run.answer for run in runs]
+    steps = sum(run.reduction_steps for run in runs)
+    calls = sum(run.stats.calls for run in runs)
+    maxinst = max((run.stats.max_instance_vertices for run in runs), default=0)
     return answers, steps, calls, maxinst
 
 

@@ -428,13 +428,12 @@ def compute_decomposition(g: Graph, exact_cap: int = 30) -> TreeDecomposition:
     if g.n <= exact_cap:
         order = _exact_elimination_order(g)
     else:
-        order = _min_fill_order(g)
+        order, _ = _min_fill_order(g)
     return _decomposition_from_order(g, order)
 
 
 def _exact_elimination_order(g: Graph) -> list[int]:
-    ub_order = _min_fill_order(g)
-    ub = _width_of_order(g, ub_order)
+    ub_order, ub = _min_fill_order(g)
     lb = _degeneracy_lower_bound(g)
     for w in range(lb, ub):
         order = _order_with_width(g, w)
@@ -494,9 +493,10 @@ def _order_with_width(g: Graph, w: int) -> Optional[list[int]]:
     return acc if rec(frozenset()) else None
 
 
-def _min_fill_order(g: Graph) -> list[int]:
-    """Greedy min-fill elimination order: repeatedly eliminate the vertex
-    whose neighbourhood misses the fewest edges, ties broken by
+def _min_fill_order(g: Graph) -> tuple[list[int], int]:
+    """Greedy min-fill elimination order, with its width: the largest
+    neighbourhood a vertex has when it is eliminated. Repeatedly eliminate
+    the vertex whose neighbourhood misses the fewest edges, ties broken by
     (fill, degree, id). Keys sit in a heap whose stale entries are skipped
     when popped. Eliminating v with neighbourhood N changes the
     neighbourhoods of N only; any other vertex w keeps its own, and its
@@ -517,6 +517,7 @@ def _min_fill_order(g: Graph) -> list[int]:
     heap = list(current.values())
     heapq.heapify(heap)
     order = []
+    width = 0
     while heap:
         k = heapq.heappop(heap)
         v = k[2]
@@ -524,6 +525,7 @@ def _min_fill_order(g: Graph) -> list[int]:
             continue  # stale entry, or v already eliminated
         del current[v]
         nb = adj.pop(v)
+        width = max(width, len(nb))
         for a in nb:
             adj[a].discard(v)
         fill = [(a, b) for a, b in itertools.combinations(nb, 2) if b not in adj[a]]
@@ -539,7 +541,7 @@ def _min_fill_order(g: Graph) -> list[int]:
             if current[w] != k:
                 current[w] = k
                 heapq.heappush(heap, k)
-    return order
+    return order, width
 
 
 def _degeneracy_lower_bound(g: Graph) -> int:
@@ -551,20 +553,6 @@ def _degeneracy_lower_bound(g: Graph) -> int:
         for w in adj.pop(v):
             adj[w].discard(v)
     return lb
-
-
-def _width_of_order(g: Graph, order: list[int]) -> int:
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    width = 0
-    for v in order:
-        nb = adj.pop(v)
-        width = max(width, len(nb))
-        for a in nb:
-            adj[a].discard(v)
-        for a, b in itertools.combinations(nb, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return width
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:

@@ -1,8 +1,15 @@
+import io
+import itertools
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpath_kernel.cli import main
 from kpath_kernel.graphs import Graph, is_simple_path, write_graph_text
@@ -341,3 +348,114 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["answer"] == "yes"
+
+
+# Lines of a few tokens. Every number is at most 7, so a header never asks
+# for more than 7 vertices.
+_tokens = ["p", "s", "td", "b", "c", "root", "#", "0", "1", "2", "3", "7", "-1", "x", "2.5"]
+_soup = st.lists(
+    st.lists(st.sampled_from(_tokens), max_size=5).map(" ".join),
+    max_size=6,
+).map("\n".join)
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 8), st.sampled_from([1.0, 2.5]), st.text("1ab", max_size=2)
+)
+_json_any = st.recursive(
+    _json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text("ab", max_size=2), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    return Graph.from_edges(range(1, n + 1), edges)
+
+
+@st.composite
+def _td_text(draw, g):
+    choice = draw(st.sampled_from(["exact", "exact", "exact", "drop-line", "drop-vertex", "soup"]))
+    if g.n == 0 or choice == "soup":
+        return draw(_soup)
+    lines = write_td(compute_decomposition(g)).splitlines()
+    if choice == "drop-line":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif choice == "drop-vertex":
+        # still parses, but may leave a vertex or an edge in no bag
+        i = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith("b ")]))
+        lines[i] = lines[i].rsplit(" ", 1)[0] if len(lines[i].split()) > 2 else lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _linkage_text(draw, g):
+    vs = sorted(g.vertices)
+    subset = st.lists(st.sampled_from(vs), unique=True, max_size=3) if vs else st.just([])
+    data = {
+        "graph": {"vertices": vs, "edges": sorted([u, v] for u, v in g.edges())},
+        "k_prime": draw(st.integers(-1, 8)),
+        "terminals": draw(subset),
+        "requests": draw(st.lists(subset, max_size=3)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(data)), unique=True, max_size=2)):
+        data[key] = draw(_json_any)
+    text = json.dumps(data)
+    return draw(st.sampled_from([text, text, text[: len(text) // 2], draw(_soup)]))
+
+
+def _keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, err.getvalue())
+        assert set(json.loads(lines[0])) == {"error", "detail"}, (argv, lines[0])
+    else:
+        assert code in (0, 1), (argv, code)
+        assert err.getvalue() == "", (argv, err.getvalue())
+
+
+class TestExitCodeContract:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_command_exits_0_1_or_2_with_a_json_error(self, data):
+        # mostly well-formed input, so that most calls get past the parsers
+        def mostly(good, bad):
+            return good if data.draw(st.integers(0, 3)) else data.draw(bad)
+
+        g = data.draw(_small_graphs())
+        ids = st.lists(st.integers(1, max(g.n, 1)), max_size=3).map(lambda xs: "\n".join(map(str, xs)))
+        texts = {
+            "g.gr": mostly(write_graph_text(g), _soup),
+            "g.td": data.draw(_td_text(g)),
+            "m.mod": mostly(data.draw(ids), _soup),
+            "l.json": data.draw(_linkage_text(g)),
+        }
+        k = str(data.draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5])))
+        eta = str(data.draw(st.integers(-1, 3)))
+        method = data.draw(st.sampled_from(["linkage", "bruteforce"]))
+        m_override = data.draw(st.sampled_from([[], ["--m-override", str(data.draw(st.integers(-1, 4)))]]))
+        with tempfile.TemporaryDirectory() as d:
+            path = {name: os.path.join(d, name) for name in texts}
+            for name, text in texts.items():
+                with open(path[name], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            graph = ["--graph", path["g.gr"], "--k", k]
+            for argv in (
+                ["solve", *graph, "--method", method],
+                ["kernelize", *graph],
+                ["kernelize", *graph, "--td", path["g.td"]],
+                ["kernelize", *graph, "--provider", "trivial"],
+                ["kernelize", *graph, "--oracle", "bruteforce"],
+                ["modkernel", *graph, "--modulator", path["m.mod"], "--eta", eta, *m_override],
+                ["validate-td", "--graph", path["g.gr"], "--td", path["g.td"]],
+                ["linkage", "solve", path["l.json"]],
+            ):
+                _keeps_exit_code_contract(argv)

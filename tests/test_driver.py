@@ -31,7 +31,7 @@ class FakeProvider:
         self.h = h
         self.q_slack = q_slack
 
-    def q(self, k, p):
+    def q(self, p):
         return self.q_slack * (p + 1)
 
     def find(self, g, k, p):
@@ -46,7 +46,7 @@ class TestKernelize:
         assert run.answer is True
         assert run.stats.calls == 1
         assert run.reduction_steps == 0
-        assert run.p_threshold == 3 * p_bound(3, provider.h, provider.h)
+        assert run.extras["bounds"]["p_threshold"] == 3 * p_bound(3, provider.h, provider.h)
 
     def test_provider_k_path_claim_is_accepted(self):
         g = Graph.from_edges(range(1, 40))
@@ -112,7 +112,7 @@ class TestKernelize:
         coarse = Separation(vs, vs)
         run = kernelize(g, 1, FakeProvider(coarse, h=0, q_slack=1), solve_linkage)
         assert run.answer is True
-        assert run.bound_unverified
+        assert run.extras["bound_unverified"]
 
     def test_equivalence_against_brute_force(self):
         rng = random.Random(20260810)

@@ -266,7 +266,7 @@ class TestRepackPathFamilies:
             for m in (3, 4, 5):
                 prev = [build_path_families(inst)]
 
-                def on_round(work, deleted):
+                def on_step(work, deleted):
                     nonlocal rounds
                     cur = replace(inst, graph=work)
                     fresh = build_path_families(cur)
@@ -277,7 +277,7 @@ class TestRepackPathFamilies:
                     prev[0] = fresh
                     rounds += 1
 
-                modulator_kernelize(inst, solve_linkage, m_override=m, on_round=on_round)
+                modulator_kernelize(inst, solve_linkage, m_override=m, on_step=on_step)
         assert rounds >= 30
 
     def test_repacking_after_deleting_path_vertices_equals_a_fresh_build(self):
@@ -344,7 +344,7 @@ class TestDecompositionReuse:
                     spec_inst.graph, spec_inst.k, spec_inst.modulator, spec_inst.eta
                 )
                 run = modulator_kernelize(
-                    inst, solve_linkage, m_override=m, on_round=lambda w, d: rounds.append(d)
+                    inst, solve_linkage, m_override=m, on_step=lambda w, d: rounds.append(d)
                 )
                 assert run.reduction_steps == len(rounds)
                 assert len(calls) == 1
@@ -373,7 +373,7 @@ class TestDecompositionReuse:
                 inst,
                 solve_linkage,
                 m_override=4,
-                on_round=lambda w, d: cores.append(set(w.vertices) - inst.modulator),
+                on_step=lambda w, d: cores.append(set(w.vertices) - inst.modulator),
             )
             if not trees:
                 continue
@@ -539,7 +539,7 @@ class TestComponentCandidates:
         def run(inst, candidates):
             monkeypatch.setattr(modulator, "_component_candidates", candidates)
             rounds = []
-            out = modulator_kernelize(inst, solve_linkage, m_override=4, on_round=lambda w, d: rounds.append(d))
+            out = modulator_kernelize(inst, solve_linkage, m_override=4, on_step=lambda w, d: rounds.append(d))
             return out, rounds
 
         rng = random.Random(20261019)
@@ -777,7 +777,7 @@ class TestModulatorKernelize:
         run = modulator_kernelize(inst, solve_linkage)
         truth = brute_force_k_path(inst.graph, inst.k) is not None
         assert run.answer == truth
-        assert run.m_threshold == default_m_threshold(inst.k, 0, inst.eta)
+        assert run.extras["m_threshold"] == default_m_threshold(inst.k, 0, inst.eta)
 
     def test_whole_graph_is_the_modulator(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
@@ -804,7 +804,7 @@ class TestModulatorKernelize:
                 inst,
                 solve_linkage,
                 m_override=4,
-                on_round=lambda w, d: deletions.append(len(d)),
+                on_step=lambda w, d: deletions.append(len(d)),
             )
             assert run.answer == truth
             if run.reduction_steps:
@@ -827,7 +827,7 @@ class TestModulatorKernelize:
             run = modulator_kernelize(inst, oracle, m_override=4)
             assert run.stats.calls == len(sizes) - before
             assert run.stats.max_instance_vertices == max(sizes[before:])
-            reduced += run.components_reduced > 0
+            reduced += run.extras["components_reduced"] > 0
         assert reduced > 5
 
     def test_structural_bound_checks_pass(self):

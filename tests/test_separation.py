@@ -177,7 +177,7 @@ class TestProviders:
         provider = TrivialSeparationProvider(h=1)
         sep = provider.find(g, 3, 3)
         assert sep is not None
-        assert 3 < len(sep.side_a) <= provider.q(3, 3)
+        assert 3 < len(sep.side_a) <= provider.q(3)
 
     def test_providers_report_none_when_too_small(self):
         g = path_graph(3)

@@ -18,6 +18,7 @@ from kpath_kernel.separation import DecompositionSeparationProvider
 from kpath_kernel.treedecomp import (
     TreeDecomposition,
     Violation,
+    _decomposition_from_order,
     _min_fill_order,
     binarize,
     compute_decomposition,
@@ -874,7 +875,10 @@ class TestComputeDecomposition:
             g.add_vertex()  # an isolated vertex with the largest id
             graphs.append(g)
         for g in graphs:
-            assert _min_fill_order(g) == naive_min_fill_order(g)
+            order, width = _min_fill_order(g)
+            assert order == naive_min_fill_order(g)
+            bags = _decomposition_from_order(g, order).bags.values()
+            assert width == max(len(b) for b in bags) - 1
 
     def test_disconnected_graph(self):
         g = Graph.from_edges(range(1, 7), [(1, 2), (3, 4)])
