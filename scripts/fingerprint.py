@@ -11,6 +11,7 @@ sorted keys. Per benchmark corpus (`perfbench/workloads.py`, each instance
 decided once, in corpus order):
 
 - runs: every instance's `run.to_json()`;
+- runs_uncounted: the same without the oracle call counts (`uncounted`);
 - rounds: every instance's deleted sets, one sorted list per round or step;
 - witnesses: every oracle call's answer, None or its paths;
 - families: every `build_path_families` result, as its sorted
@@ -19,10 +20,12 @@ decided once, in corpus order):
   `(sorted side_a, sorted side_b, branch)` (the `kernelize` corpus).
 
 Then the `SuiteConfig(count=60, mode="both", check_steps=True)` reports
-without `elapsed`, the same with `m_override=4`, and the solver's witnesses
-on the 500 random instances of `test_witnesses_are_pinned`. Two trees
-behave identically on these inputs when their outputs are equal; the
-counts beside the hashes say how much each one covers.
+without `elapsed`, the same with `m_override=4` (each also hashed
+uncounted), and the solver's witnesses on the 500 random instances of
+`test_witnesses_are_pinned`. Two trees behave identically on these inputs
+when their outputs are equal; the counts beside the hashes say how much
+each one covers. A change that only asks fewer oracle calls moves the
+runs, witnesses and reports hashes and keeps every other one.
 """
 
 from __future__ import annotations
@@ -45,6 +48,17 @@ from test_linkage import random_instance  # noqa: E402
 
 def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def uncounted(report: dict) -> dict:
+    """``report`` without its oracle call counts: no `oracle_calls` field,
+    and no measured value in any `*_oracle_calls` bound check."""
+    out = {key: value for key, value in report.items() if key != "oracle_calls"}
+    out["bound_checks"] = [
+        {key: value for key, value in c.items() if key != "measured" or not c["name"].endswith("_oracle_calls")}
+        for c in report["bound_checks"]
+    ]
+    return out
 
 
 def witness(sol) -> object:
@@ -91,6 +105,7 @@ def corpus(workload) -> dict:
         separation.DecompositionSeparationProvider.find = find
     out = {
         "runs": digest(runs),
+        "runs_uncounted": digest([uncounted(r) for r in runs]),
         "rounds": digest(rounds),
         "round_count": sum(map(len, rounds)),
         "witnesses": digest(calls),
@@ -107,7 +122,11 @@ def suite(**overrides) -> dict:
     reports = [r.to_json() for r in run_suite(SuiteConfig(count=60, mode="both", check_steps=True, **overrides))]
     for r in reports:
         del r["elapsed"]
-    return {"reports": digest(reports), "checks": sum(len(r["bound_checks"]) for r in reports)}
+    return {
+        "reports": digest(reports),
+        "reports_uncounted": digest([uncounted(r) for r in reports]),
+        "checks": sum(len(r["bound_checks"]) for r in reports),
+    }
 
 
 def solver_witnesses() -> dict:

@@ -20,7 +20,7 @@ from .errors import InputError, NotApplicableError
 from .graphs import Graph, Path, connected_components, induced_subgraph, open_neighborhood
 from .linkage import LinkageInstance, LinkageSolver, OracleStats, counting_oracle, pack_paths
 from .driver import BoundCheck, KernelRun
-from .reduction import _request_universe, mark_and_delete
+from .reduction import _request_universe, enumerate_candidates, mark_and_delete
 from .treedecomp import (
     EdgeComponent,
     TreeDecomposition,
@@ -262,14 +262,11 @@ def build_component_context(
 def _component_candidates(
     k: int, eta: int, g_d: Graph, s_d: frozenset, terminals: frozenset
 ) -> list[tuple[int, tuple[frozenset, ...]]]:
-    """Candidate (k', requests) pairs for one component, leaving out those
-    that counting shows have no witness on ``g_d``.
-
-    Requests hold one boundary vertex and possibly a second vertex of the
-    boundary or the modulator. A well-behaved k-path induces at most
-    min(4*eta+4, k) requests, each of whose paths owns at least one interior
-    vertex, so patterns with r + |union of requests| > k' can never arise
-    and are skipped.
+    """The counted candidates of one component (``enumerate_candidates``),
+    over a filtered request universe and with k' capped by the segments of
+    g_d - terminals. Requests hold one boundary vertex and possibly a
+    second vertex of the boundary or the modulator; a well-behaved k-path
+    induces at most min(4*eta+4, k) of them.
 
     A path meets the terminals only at its ends, so the interior vertices
     of a request's path are one segment inside one component of
@@ -280,14 +277,13 @@ def _component_candidates(
     pattern with union U then fit only if each request takes at most its
     largest usable component and the r requests use at most r distinct
     components touching U, which caps k'; a free path (the empty request)
-    fits in the largest component. All components together are the
-    interior, so a pattern of more requests than interior vertices gets
-    no k' and is never grown.
+    fits in the largest component; no candidate above that cap has a
+    witness. All components together are the interior, so a pattern of
+    more requests than interior vertices gets no k' and is never built.
     """
     comps = connected_components(g_d, g_d.vertices - terminals)
     comps.sort(key=len, reverse=True)  # component i is the i-th largest
     sizes = [len(c) for c in comps]
-    interior = sum(sizes)
     comp_of = {x: i for i, c in enumerate(comps) for x in c}
     touch = {t: frozenset(comp_of[x] for x in g_d.neighbors(t) if x in comp_of) for t in terminals}
     # each kept request with the largest component its path can use
@@ -296,33 +292,15 @@ def _component_candidates(
         shared = frozenset.intersection(*[touch[t] for t in r])
         if len(r) == 1 or shared or g_d.has_edge(*r):
             largest[r] = sizes[min(shared)] if shared else 0
-    ordered = list(largest)
-    rmax = min(4 * eta + 4, k, interior)
-    patterns: list[tuple[tuple[frozenset, ...], int, int]] = []
 
-    def grow(start: int, cur: list[frozenset], union: frozenset, reach: int, near: frozenset) -> None:
-        if cur:
-            top = sum(sizes[i] for i in sorted(near)[: len(cur)])
-            patterns.append((tuple(cur), len(union), min(reach, top)))
-        if len(cur) == rmax:
-            return
-        for idx in range(start, len(ordered)):
-            r = ordered[idx]
-            nu = union | r
-            if len(cur) + 1 + len(nu) > k:
-                continue
-            cur.append(r)
-            grow(idx, cur, nu, reach + largest[r], near.union(*[touch[t] for t in r - union]))
-            cur.pop()
+    def segment_cap(pattern: tuple) -> int:
+        union = frozenset().union(*pattern)
+        if not union:  # the free path
+            return max(sizes, default=0)
+        near = sorted(frozenset().union(*[touch[t] for t in union]))
+        return len(union) + min(sum(map(largest.get, pattern)), sum(sizes[i] for i in near[: len(pattern)]))
 
-    grow(0, [], frozenset(), 0, frozenset())
-    out: list[tuple[int, tuple[frozenset, ...]]] = []
-    for kp in range(min(k, max(sizes, default=0)) + 1):
-        out.append((kp, (frozenset(),)))
-    for pat, usize, free in patterns:
-        for kp in range(len(pat) + usize, min(k, usize + free) + 1):
-            out.append((kp, pat))
-    return out
+    return enumerate_candidates(k, list(largest), min(4 * eta + 4, k, sum(sizes)), segment_cap)
 
 
 def reduce_component(

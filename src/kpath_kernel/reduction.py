@@ -9,9 +9,8 @@ vertex a crossing could need; the rest of A is deleted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, NotApplicableError
 from .graphs import (
@@ -65,18 +64,32 @@ def _request_universe(guard, boundary) -> list[frozenset]:
     return sorted(universe, key=lambda r: (len(r), sorted(r)))
 
 
-def enumerate_candidates(gr: GuardedRegion) -> list[tuple[int, tuple[frozenset, ...]]]:
-    """Every distinct candidate (k', requests) pair for the region: per k'
-    in 0..k, the single-empty-request pattern plus every multiset of at most
-    max(1, 2|Z|) requests {z} or {z, b} with z in the guard and b in the
-    boundary."""
-    patterns: list[tuple[frozenset, ...]] = [(frozenset(),)]
-    universe = _request_universe(gr.guard, gr.boundary)
-    rmax = max(1, 2 * len(gr.guard))
-    for r in range(1, rmax + 1):
-        patterns.extend(itertools.combinations_with_replacement(universe, r))
-    out = [(kp, tuple(pat)) for kp in range(gr.k + 1) for pat in patterns]
-    assert len(out) <= p_bound(gr.k, len(gr.boundary), len(gr.guard))
+def enumerate_candidates(
+    k: int, universe: Sequence[frozenset], rmax: int, cap: Optional[Callable[[tuple], int]] = None
+) -> list[tuple[int, tuple[frozenset, ...]]]:
+    """The counted (k', requests) candidates over ``universe``. k' counts
+    covered vertices, and each path owns a non-terminal, so a pattern of r
+    requests with union U needs k' >= r + |U| (the free path, one empty
+    request, k' >= 1). First the free path, then every multiset of at most
+    ``rmax`` requests in depth-first pre-order, each up to k' = cap(pattern)
+    (default k, never above it). r + |U| only grows, so a branch stops once
+    it would exceed k."""
+
+    def top(pattern: tuple) -> int:
+        return k if cap is None else min(k, cap(pattern))
+
+    free = (frozenset(),)
+    out = [(kp, free) for kp in range(1, top(free) + 1)]
+    stack = [(0, (), frozenset())]  # (first usable universe index, pattern, union)
+    while stack:
+        start, pattern, union = stack.pop()
+        if pattern:
+            out.extend((kp, pattern) for kp in range(len(pattern) + len(union), top(pattern) + 1))
+        if len(pattern) < rmax:
+            for idx in reversed(range(start, len(universe))):
+                nu = union | universe[idx]
+                if len(pattern) + 1 + len(nu) <= k:
+                    stack.append((idx, pattern + (universe[idx],), nu))
     return out
 
 
@@ -118,6 +131,11 @@ def apply_reduction(g: Graph, gr: GuardedRegion, oracle: LinkageSolver) -> tuple
     A. Applicable only when |A| exceeds k * p_bound(k, l, h), which
     guarantees at least one deletion.
 
+    Candidates are counted multisets of up to max(1, 2|Z|) requests {z} or
+    {z, b}, z in the guard, b in the boundary. One below its count may have
+    a witness (``({z},)`` at k' = 1 has ``(z,)``), but no traverse of a
+    k-path induces it: every traverse owns a vertex of A.
+
     Unlike ``reduce_component``, no candidate needs a k' cap: every
     candidate has k' <= k < |A|, and A is exactly the non-terminal pool of
     G[N[A]], so no candidate asks for more free vertices than A holds.
@@ -130,7 +148,9 @@ def apply_reduction(g: Graph, gr: GuardedRegion, oracle: LinkageSolver) -> tuple
         )
     if open_neighborhood(g, gr.region) != set(gr.boundary):
         raise InputError("region boundary is stale for this graph")
+    candidates = enumerate_candidates(gr.k, _request_universe(gr.guard, gr.boundary), max(1, 2 * h))
+    assert len(candidates) <= p_bound(gr.k, ell, h)
     local = induced_subgraph(g, gr.region | gr.boundary)
-    out, deletable = mark_and_delete(g, local, gr.boundary, enumerate_candidates(gr), oracle)
+    out, deletable = mark_and_delete(g, local, gr.boundary, candidates, oracle)
     assert deletable, "marking can never cover a region larger than k*p_bound"
     return out, deletable

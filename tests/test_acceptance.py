@@ -18,7 +18,7 @@ from kpath_kernel.linkage import (
     validate_solution,
 )
 from kpath_kernel.modulator import rho
-from kpath_kernel.reduction import enumerate_candidates, make_guarded_region, p_bound
+from kpath_kernel.reduction import _request_universe, enumerate_candidates, make_guarded_region, p_bound
 from kpath_kernel.separation import separation_from_decomposition
 from kpath_kernel.suite import SuiteConfig, run_suite
 from kpath_kernel.treedecomp import (
@@ -250,7 +250,8 @@ def test_criterion_7_formula_oracles():
                 for b in boundary:
                     g.add_edge(b, 1)
                 gr = make_guarded_region(g, region, k=k, guard=boundary[:h])
-                if len(enumerate_candidates(gr)) > p_bound(k, ell, h):
+                cands = enumerate_candidates(k, _request_universe(gr.guard, gr.boundary), max(1, 2 * h))
+                if len(cands) > p_bound(k, ell, h):
                     overcounts += 1
     for eta in range(0, 3):
         for ell in range(0, 7):

@@ -420,8 +420,8 @@ class TestDecompositionReuse:
 def uncapped_candidates(k, eta, s_d, terminals, interior):
     """The candidates of the interior cap alone, a superset of what
     _component_candidates asks: every pattern of up to min(4*eta+4, k)
-    requests over the whole request universe, with k' <= |U| + interior,
-    also the patterns with no k' left to ask."""
+    requests over the whole request universe, with k' <= |U| + interior
+    (the free path from k' = 1), also the patterns with no k' left to ask."""
     ordered = _request_universe(s_d, terminals)
     rmax = min(4 * eta + 4, k)
     patterns = []
@@ -440,7 +440,7 @@ def uncapped_candidates(k, eta, s_d, terminals, interior):
             cur.pop()
 
     grow(0, [], frozenset())
-    out = [(kp, (frozenset(),)) for kp in range(min(k, interior) + 1)]
+    out = [(kp, (frozenset(),)) for kp in range(1, min(k, interior) + 1)]
     for pat, usize in patterns:
         for kp in range(len(pat) + usize, min(k, usize + interior) + 1):
             out.append((kp, pat))

@@ -4,13 +4,15 @@ import random
 import pytest
 
 from kpath_kernel.errors import InputError, NotApplicableError
-from kpath_kernel.graphs import Graph, brute_force_k_path
+from kpath_kernel.graphs import Graph, brute_force_k_path, induced_subgraph
 from kpath_kernel.linkage import OracleStats, counting_oracle, solve_linkage
 from kpath_kernel.reduction import (
+    _request_universe,
     apply_reduction,
     enumerate_candidates,
     guard_is_valid,
     make_guarded_region,
+    mark_and_delete,
     p_bound,
 )
 
@@ -54,6 +56,21 @@ class TestPBound:
             p_bound(1, -1, 0)
 
 
+def region_candidates(gr):
+    """The candidates ``apply_reduction`` asks for ``gr``."""
+    return enumerate_candidates(gr.k, _request_universe(gr.guard, gr.boundary), max(1, 2 * len(gr.guard)))
+
+
+def full_candidates(gr):
+    """Every multiset of at most max(1, 2|Z|) requests, and the free path,
+    at every k' in 0..k: the list before counting."""
+    universe = _request_universe(gr.guard, gr.boundary)
+    patterns = [(frozenset(),)]
+    for r in range(1, max(1, 2 * len(gr.guard)) + 1):
+        patterns.extend(itertools.combinations_with_replacement(universe, r))
+    return [(kp, pat) for kp in range(gr.k + 1) for pat in patterns]
+
+
 def region_fixture(a_size, boundary_size, k, region_edges=(), rng=None):
     """A graph made of a region, its boundary, and an outside part."""
     g = Graph.from_edges(range(1, a_size + boundary_size + 1))
@@ -71,26 +88,31 @@ class TestEnumerateCandidates:
         g = Graph.from_edges(range(1, 8))
         gr = make_guarded_region(g, {1, 2, 3}, k=3)
         assert gr.guard == frozenset()
-        cands = enumerate_candidates(gr)
-        assert len(cands) == 4  # one per k' in 0..3
-        assert all(requests == (frozenset(),) for _, requests in cands)
+        cands = region_candidates(gr)
+        # a free path covers at least one vertex: one per k' in 1..3
+        assert cands == [(kp, (frozenset(),)) for kp in (1, 2, 3)]
 
     def test_single_vertex_guard_and_boundary(self):
         g = Graph.from_edges(range(1, 6), [(5, i) for i in range(1, 5)])
         gr = make_guarded_region(g, {1, 2, 3, 4}, k=1)
         assert gr.boundary == frozenset({5}) and gr.guard == frozenset({5})
-        cands = enumerate_candidates(gr)
-        patterns = {requests for _, requests in cands}
-        assert (frozenset(),) in patterns
-        assert (frozenset({5}),) in patterns
-        assert (frozenset({5}), frozenset({5})) in patterns
-        # each pattern appears once per k' in 0..1
-        assert len(cands) == 2 * len(patterns)
+        # ({5},) needs k' >= 2 and ({5}, {5}) k' >= 3
+        assert region_candidates(gr) == [(1, (frozenset(),))]
+        gr = make_guarded_region(g, {1, 2, 3, 4}, k=3)
+        z = frozenset({5})
+        assert region_candidates(gr) == [
+            (1, (frozenset(),)),
+            (2, (frozenset(),)),
+            (3, (frozenset(),)),
+            (2, (z,)),
+            (3, (z,)),
+            (3, (z, z)),
+        ]
 
     def test_no_duplicate_candidates(self):
         g = Graph.from_edges(range(1, 8), [(6, 1), (6, 2), (7, 2), (7, 3)])
         gr = make_guarded_region(g, {1, 2, 3, 4, 5}, k=2)
-        cands = enumerate_candidates(gr)
+        cands = region_candidates(gr)
         assert len(cands) == len(set(cands))
 
     def test_count_never_exceeds_p_bound(self):
@@ -105,7 +127,41 @@ class TestEnumerateCandidates:
                     for b in boundary:
                         g.add_edge(b, 1)
                     gr = make_guarded_region(g, region, k=k, guard=boundary[:h])
-                    assert len(enumerate_candidates(gr)) <= p_bound(k, ell, h)
+                    assert len(region_candidates(gr)) <= p_bound(k, ell, h)
+
+
+class TestCountedCandidates:
+    def test_marking_with_the_counted_list_keeps_the_answer(self):
+        # the counted list is the full one less every candidate with
+        # k' < r + |U| (the free path has r = 1 and U empty); no traverse
+        # of a k-path induces those, so marking without them stays safe
+        rng = random.Random(20261020)
+        cases = deleting = 0
+        for _ in range(400):
+            n = rng.randint(4, 10)
+            g = random_graph(rng, n, rng.choice([0.25, 0.4, 0.55]))
+            k = rng.randint(1, 6)
+            before = brute_force_k_path(g, k) is not None
+            verts = sorted(g.vertices)
+            for _ in range(6):
+                gr = make_guarded_region(g, rng.sample(verts, rng.randint(1, n - 1)), k)
+                if len(gr.boundary) > 3:
+                    continue
+                if rng.random() < 0.5:
+                    guard = rng.sample(sorted(gr.boundary), rng.randint(0, len(gr.boundary)))
+                    sub = make_guarded_region(g, gr.region, k, guard)
+                    if guard_is_valid(g, sub):
+                        gr = sub
+                cands = region_candidates(gr)
+                full = full_candidates(gr)
+                counted = {(kp, pat) for kp, pat in full if kp >= len(pat) + len(frozenset().union(*pat))}
+                assert len(cands) == len(set(cands)) and set(cands) == counted
+                local = induced_subgraph(g, gr.region | gr.boundary)
+                out, deleted = mark_and_delete(g, local, gr.boundary, cands, solve_linkage)
+                assert (brute_force_k_path(out, k) is not None) == before, (sorted(g.edges()), gr)
+                cases += 1
+                deleting += bool(deleted)
+        assert cases >= 1500 and deleting >= 500
 
 
 class TestApplyReduction:
