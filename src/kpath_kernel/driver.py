@@ -89,7 +89,7 @@ def kernelize(
     stats = OracleStats()
     solver = counting_oracle(oracle, stats)
     checks: list[BoundCheck] = []
-    work = g.copy()
+    work = g.copy()  # apply_reduction deletes from this copy
     n0 = g.n
     steps = 0
     unverified = False
@@ -119,7 +119,7 @@ def kernelize(
         if not gr.boundary <= sep.cut():
             raise ProtocolError("separation does not enclose the region")
         before = stats.calls
-        work, deleted = apply_reduction(work, gr, solver)
+        _, deleted = apply_reduction(work, gr, solver)
         steps += 1
         checks.append(
             BoundCheck.le(

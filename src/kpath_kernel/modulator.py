@@ -311,14 +311,17 @@ def reduce_component(
 ) -> tuple[Graph, frozenset]:
     """Mark and delete over g_d with s_d and the modulator as terminals: the
     deleted vertices are the interior ones, v_d - s_d, that no witness of a
-    candidate crossing uses."""
+    candidate crossing uses. They are deleted from ``inst.graph`` itself,
+    which is returned with them."""
     if len(ctx.v_d) <= m_threshold:
         raise NotApplicableError(
             f"|v_d| = {len(ctx.v_d)} <= m_threshold = {m_threshold}; nothing to reduce"
         )
     terminals = frozenset(ctx.s_d | inst.modulator)
     candidates = _component_candidates(inst.k, inst.eta, ctx.g_d, ctx.s_d, terminals)
-    return mark_and_delete(inst.graph, ctx.g_d, terminals, candidates, oracle)
+    deletable = mark_and_delete(ctx.g_d, terminals, candidates, oracle)
+    inst.graph.delete_vertices(deletable)
+    return inst.graph, deletable
 
 
 def explicit_size_bound(k: int, ell: int, m_threshold: int, a2_size: int) -> int:
@@ -361,7 +364,7 @@ def modulator_kernelize(
     stats = OracleStats()
     solver = counting_oracle(oracle, stats)
     checks: list[BoundCheck] = []
-    work = inst.graph.copy()
+    work = inst.graph.copy()  # reduce_component deletes from cur.graph, this copy
     cur = replace(inst, graph=work)
     rounds = 0
     components_reduced = 0
@@ -398,14 +401,12 @@ def modulator_kernelize(
             if (ctx.v_d, ctx.s_d) in futile:
                 continue
             calls_before = stats.calls
-            work2, deleted = reduce_component(cur, ctx, m_threshold, solver)
+            _, deleted = reduce_component(cur, ctx, m_threshold, solver)
             checks.append(
                 BoundCheck.le("component_oracle_calls", stats.calls - calls_before, (k + 1) * rho_value)
             )
             components_reduced += 1
             if deleted:
-                work = work2
-                cur = replace(inst, graph=work)
                 rounds += 1
                 if on_step is not None:
                     on_step(work, deleted)

@@ -104,32 +104,30 @@ def guard_is_valid(g: Graph, gr: GuardedRegion, cap: int = 20) -> bool:
 
 
 def mark_and_delete(
-    g: Graph,
     local: Graph,
     terminals: frozenset,
     candidates: Iterable[tuple[int, tuple[frozenset, ...]]],
     oracle: LinkageSolver,
-) -> tuple[Graph, frozenset]:
+) -> frozenset:
     """Ask the oracle every (k', requests) candidate on ``local``, mark the
-    vertices of every witness, and delete from a copy of ``g`` the
-    non-terminals of ``local`` that no witness uses."""
+    vertices of every witness, and return the deletable set: the
+    non-terminals of ``local`` that no witness uses. The caller deletes
+    them from the graph it owns."""
     marked: set[int] = set()
     for kp, requests in candidates:
         sol = oracle(LinkageInstance(local, kp, terminals, requests))
         if sol is not None:
             for p in sol:
                 marked.update(p)
-    deletable = frozenset(local.vertices - terminals - marked)
-    out = g.copy()
-    out.delete_vertices(deletable)
-    return out, deletable
+    return frozenset(local.vertices - terminals - marked)
 
 
 def apply_reduction(g: Graph, gr: GuardedRegion, oracle: LinkageSolver) -> tuple[Graph, frozenset]:
     """Run the reduction rule once: mark and delete over G[N[A]] with the
     boundary as terminals, so the deleted vertices are the unmarked part of
     A. Applicable only when |A| exceeds k * p_bound(k, l, h), which
-    guarantees at least one deletion.
+    guarantees at least one deletion. The vertices are deleted from ``g``
+    itself, which is returned with them; pass a copy to keep ``g``.
 
     Candidates are counted multisets of up to max(1, 2|Z|) requests {z} or
     {z, b}, z in the guard, b in the boundary. One below its count may have
@@ -151,6 +149,7 @@ def apply_reduction(g: Graph, gr: GuardedRegion, oracle: LinkageSolver) -> tuple
     candidates = enumerate_candidates(gr.k, _request_universe(gr.guard, gr.boundary), max(1, 2 * h))
     assert len(candidates) <= p_bound(gr.k, ell, h)
     local = induced_subgraph(g, gr.region | gr.boundary)
-    out, deletable = mark_and_delete(g, local, gr.boundary, candidates, oracle)
+    deletable = mark_and_delete(local, gr.boundary, candidates, oracle)
     assert deletable, "marking can never cover a region larger than k*p_bound"
-    return out, deletable
+    g.delete_vertices(deletable)
+    return g, deletable

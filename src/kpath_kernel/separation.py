@@ -9,7 +9,7 @@ decomposition, the other finds them by exhaustive separator search.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError, NotApplicableError
 from .graphs import (
@@ -17,13 +17,133 @@ from .graphs import (
     Separation,
     check_separation,
     connected_components,
-    open_neighborhood,
     small_separators,
 )
 from .treedecomp import TreeDecomposition, compute_decomposition, stats
 
 HAS_K_PATH = "has-k-path"
 ProviderAnswer = Union[Separation, str, None]
+
+
+class _SubtreeCounts:
+    """The live subtree sizes of a fixed decomposition while vertices are
+    deleted from its graph.
+
+    The nodes whose bags hold a vertex v span a subtree; its root is v's
+    top holder. v lies in a bag of t's subtree exactly when its top holder
+    does, or when v lies in B_t ∩ B_parent(t), and never both. So the
+    subtree union of t has below[t] + adh[t] live vertices: below[t] counts
+    the live vertices whose top holder lies in t's subtree, and adh[t] is
+    the live |B_t ∩ B_parent(t)|. Deleting v lowers adh at its other
+    holders and below along the path from its top holder to the root."""
+
+    def __init__(self, td: TreeDecomposition):
+        self.td = td
+        post = td.postorder()
+        # parents come first, so a vertex's first holder is its top holder
+        self.holders: dict[int, list[int]] = {}
+        for t in reversed(post):
+            for v in td.bags[t]:
+                self.holders.setdefault(v, []).append(t)
+        self.live = set(self.holders)
+        self.below = dict.fromkeys(post, 0)
+        for hs in self.holders.values():
+            self.below[hs[0]] += 1
+        self.adh = dict.fromkeys(post, 0)
+        for t in post:
+            p = td.parent[t]
+            if p is not None:
+                self.below[p] += self.below[t]
+                self.adh[t] = len(td.bags[t] & td.bags[p])
+        self._p: Optional[int] = None
+        self._at = 0
+
+    def delete(self, vs: set) -> None:
+        parent, below = self.td.parent, self.below
+        for v in vs:
+            hs = self.holders[v]
+            for t in hs[1:]:
+                self.adh[t] -= 1
+            t = hs[0]
+            while t is not None:
+                below[t] -= 1
+                t = parent[t]
+        self.live -= vs
+
+    def first_over(self, p: int) -> int:
+        """The first node in post-order whose subtree union has more than p
+        live vertices (the root has them all). Sizes only fall, so for the
+        same p the walk resumes at the last answer."""
+        if p != self._p:
+            self._p, self._at = p, 0
+        post, below, adh, i = self.td.postorder(), self.below, self.adh, self._at
+        while below[post[i]] + adh[post[i]] <= p:
+            i += 1
+        self._at = i
+        return post[i]
+
+    def bag(self, t: int) -> frozenset:
+        return self.td.bags[t] & self.live
+
+    def union(self, tops: Iterable[int]) -> set:
+        """The live vertices in the bags of the subtrees at ``tops``. A child
+        with no top holder below it adds nothing its parent's bag lacks."""
+        out: set[int] = set()
+        stack = list(tops)
+        while stack:
+            t = stack.pop()
+            out |= self.td.bags[t]
+            stack.extend(c for c in self.td.children[t] if self.below[c])
+        return out & self.live
+
+
+def _separation(g: Graph, counts: _SubtreeCounts, p: int) -> Separation:
+    """``separation_from_decomposition`` on the tree of ``counts``, whose
+    live vertices must be those of ``g``."""
+    if g.n <= p:
+        raise NotApplicableError(f"|V| = {g.n} <= p = {p}")
+    td = counts.td
+    if len(td.bags) == 1:
+        vs = frozenset(g.vertices)
+        return Separation(vs, vs, branch="degenerate-single-bag")
+    t0 = counts.first_over(p)
+    below, adh = counts.below, counts.adh
+    groups: dict[frozenset, list[int]] = {}
+    for c in td.children[t0]:
+        if adh[c]:
+            groups.setdefault(frozenset(counts.bag(c) & td.bags[t0]), []).append(c)
+        elif below[c]:  # an empty subtree adds no vertex to its group
+            groups.setdefault(frozenset(), []).append(c)
+    # a group's subtrees share only their adhesion s: Σ below + |s| vertices
+    ordered = sorted(groups.items(), key=lambda kv: sorted(kv[0]))
+    heavy = [(s, cs) for s, cs in ordered if sum(below[c] for c in cs) + len(s) > p]
+    if not heavy:
+        # the bags outside the subtree cover V - A and, by connectivity, meet
+        # A only in the adhesion to t0's parent
+        a = counts.union([t0])
+        b = set(g.vertices) - a
+        if td.parent[t0] is not None:
+            b |= counts.bag(t0) & td.bags[td.parent[t0]]
+        sep = Separation(frozenset(a), frozenset(b), branch="whole-subtree")
+    else:
+        s, members = heavy[0]
+        # children come in ascending order and share adh = |s|, so this
+        # sorts by (subtree size, id)
+        members.sort(key=below.__getitem__)
+        size = len(s)
+        for taken, c in enumerate(members, 1):
+            size += below[c]
+            if size > p:
+                break
+        acc = counts.union(members[:taken])
+        # B is the rest and its neighbours in A: the vertices of A with a
+        # neighbour outside it
+        b = (set(g.vertices) - acc) | {v for v in acc if not g.neighbors(v) <= acc}
+        sep = Separation(frozenset(acc), frozenset(b), branch="adhesion-group")
+        assert sep.cut() <= s
+    assert check_separation(g, sep.side_a, sep.side_b)
+    assert len(sep.side_a) > p
+    return sep
 
 
 def separation_from_decomposition(g: Graph, td: TreeDecomposition, p: int) -> Separation:
@@ -33,50 +153,13 @@ def separation_from_decomposition(g: Graph, td: TreeDecomposition, p: int) -> Se
     Walks to the lowest node whose subtree bags exceed p vertices. If every
     group of equal-adhesion children stays below p, the whole subtree is the
     left side; otherwise children of one heavy group are accumulated
-    (smallest subtree first) until just past p.
+    (smallest subtree first) until just past p. Subtree sizes are counted
+    (``_SubtreeCounts``); vertex sets are built only for the chosen side.
 
     Precondition: ``td`` must be a valid decomposition of ``g`` (see
     ``stats``).
     """
-    if g.n <= p:
-        raise NotApplicableError(f"|V| = {g.n} <= p = {p}")
-    if len(td.bags) == 1:
-        vs = frozenset(g.vertices)
-        return Separation(vs, vs, branch="degenerate-single-bag")
-    unions = td.subtree_unions()
-    t0 = next(t for t in td.postorder() if len(unions[t]) > p)
-
-    groups: dict[frozenset, list[int]] = {}
-    for c in td.children[t0]:
-        groups.setdefault(td.bags[c] & td.bags[t0], []).append(c)
-    heavy: list[tuple[frozenset, list[int]]] = []
-    for s, cs in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
-        v_s = frozenset().union(*(unions[c] for c in cs))
-        if len(v_s) > p:
-            heavy.append((s, cs))
-    if not heavy:
-        # the bags outside the subtree cover V - A and, by connectivity, meet
-        # A only in the adhesion to t0's parent
-        a = unions[t0]
-        b = set(g.vertices) - a
-        if td.parent[t0] is not None:
-            b |= td.bags[t0] & td.bags[td.parent[t0]]
-        sep = Separation(a, frozenset(b), branch="whole-subtree")
-    else:
-        s, members = heavy[0]
-        members = sorted(members, key=lambda c: (len(unions[c]), c))
-        acc: set[int] = set()
-        for c in members:
-            acc |= unions[c]
-            if len(acc) > p:
-                break
-        rest = set(g.vertices) - acc
-        b = rest | set(open_neighborhood(g, rest))
-        sep = Separation(frozenset(acc), frozenset(b), branch="adhesion-group")
-        assert sep.cut() <= s
-    assert check_separation(g, sep.side_a, sep.side_b)
-    assert len(sep.side_a) > p
-    return sep
+    return _separation(g, _SubtreeCounts(td), p)
 
 
 def trivial_separation_oracle(
@@ -123,7 +206,14 @@ class DecompositionSeparationProvider:
     restricted to whatever vertices survive. Width, adhesion and adhesion
     degree can only shrink under restriction, so the declared bounds hold
     for every later call. The decomposition, computed or supplied, is
-    validated once here by ``stats``; restricting it keeps it valid."""
+    validated once here by ``stats``.
+
+    The provider keeps the tree's live subtree counts (``_SubtreeCounts``)
+    between calls instead of restricting the tree: ``find`` deletes from
+    them the vertices the graph has lost since the last call, and starts
+    again from the first tree if the graph holds a vertex already deleted
+    (a second run, say). Its separations are those of
+    ``separation_from_decomposition`` on the restricted tree."""
 
     def __init__(self, g0: Graph, td: Optional[TreeDecomposition] = None):
         self._td0 = td if td is not None else compute_decomposition(g0)
@@ -131,6 +221,7 @@ class DecompositionSeparationProvider:
         self.h = s.adhesion
         self.width_bound = s.width + 1
         self.degree_bound = max(s.adhesion_degree, 2)
+        self._counts = _SubtreeCounts(self._td0)
 
     def q(self, p: int) -> int:
         return self.width_bound + p * self.degree_bound
@@ -138,11 +229,12 @@ class DecompositionSeparationProvider:
     def find(self, g: Graph, k: int, p: int) -> ProviderAnswer:
         if g.n <= p:
             return None
-        td = self._td0.restrict(g)
-        try:
-            return separation_from_decomposition(g, td, p)
-        except NotApplicableError:
-            return None
+        gone = self._counts.live - g.vertices
+        if len(self._counts.live) - len(gone) != g.n:
+            self._counts = _SubtreeCounts(self._td0)
+            gone = self._counts.live - g.vertices
+        self._counts.delete(gone)
+        return _separation(g, self._counts, p)
 
 
 class TrivialSeparationProvider:

@@ -172,7 +172,7 @@ def validate(td: TreeDecomposition) -> ValidationReport:
     ("edge-coverage"), and the nodes holding a vertex span a subtree
     ("connectivity"). One holder index (vertex -> nodes whose bag holds it)
     serves all four checks, so the cost is O(m + Σ|bag|) set operations
-    plus sorting the witnesses."""
+    plus sorting the witnesses found."""
     g = td.host
     out: list[Violation] = []
     holders: dict[int, set[NodeId]] = {}
@@ -184,9 +184,8 @@ def validate(td: TreeDecomposition) -> ValidationReport:
     for v in sorted(holders.keys() - g.vertices):
         out.append(Violation("unknown-vertex", v))
     nowhere: set[NodeId] = set()
-    for u, v in sorted(g.edges()):
-        if holders.get(u, nowhere).isdisjoint(holders.get(v, nowhere)):
-            out.append(Violation("edge-coverage", (u, v)))
+    uncovered = [e for e in g.edges() if holders.get(e[0], nowhere).isdisjoint(holders.get(e[1], nowhere))]
+    out.extend(Violation("edge-coverage", e) for e in sorted(uncovered))
     # the holders of v induce a forest in the tree; it is one subtree
     # exactly when it has |holders| - 1 edges
     inner_edges: dict[int, int] = dict.fromkeys(holders, 0)
@@ -210,19 +209,18 @@ def stats(td: TreeDecomposition) -> DecompositionStats:
 
 def measure(td: TreeDecomposition) -> DecompositionStats:
     """Width, adhesion and adhesion degree. ``td`` must be a valid
-    decomposition."""
+    decomposition. Each tree edge's adhesion set is computed once and
+    counted at both its ends."""
     width = max(len(b) for b in td.bags.values()) - 1
     adhesion = 0
-    degree = 0
-    for t in td.nodes:
-        adhs = set()
-        for nb in itertools.chain(td.children[t], [td.parent[t]]):
-            if nb is not None:
-                a = td.bags[t] & td.bags[nb]
-                adhs.add(a)
-                adhesion = max(adhesion, len(a))
-        degree = max(degree, len(adhs))
-    return DecompositionStats(width, adhesion, degree)
+    adhs: dict[NodeId, set[frozenset]] = {t: set() for t in td.nodes}
+    for t, p in td.parent.items():
+        if p is not None:
+            a = td.bags[t] & td.bags[p]
+            adhs[t].add(a)
+            adhs[p].add(a)
+            adhesion = max(adhesion, len(a))
+    return DecompositionStats(width, adhesion, max(map(len, adhs.values())))
 
 
 def make_connected(td: TreeDecomposition) -> TreeDecomposition:
@@ -422,18 +420,22 @@ def compute_decomposition(g: Graph, exact_cap: int = 30) -> TreeDecomposition:
     later neighbour in the bag has a neighbour in that component. A node
     with no later neighbour (the last vertex of each component of g but the
     root's) hangs under the root with an empty adhesion, and what lies
-    below it is that whole component."""
+    below it is that whole component.
+
+    The min-fill path eliminates the graph once: the tree is built from the
+    bags ``_min_fill_order`` records as it goes. The exact path simulates
+    the elimination of the order it found (``_decomposition_from_order``)."""
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
     if g.n <= exact_cap:
-        order = _exact_elimination_order(g)
-    else:
-        order, _ = _min_fill_order(g)
-    return _decomposition_from_order(g, order)
+        return _decomposition_from_order(g, _exact_elimination_order(g))
+    order, bags = _min_fill_order(g)
+    return _decomposition_from_bags(g, order, bags)
 
 
 def _exact_elimination_order(g: Graph) -> list[int]:
-    ub_order, ub = _min_fill_order(g)
+    ub_order, ub_bags = _min_fill_order(g)
+    ub = max(map(len, ub_bags)) - 1
     lb = _degeneracy_lower_bound(g)
     for w in range(lb, ub):
         order = _order_with_width(g, w)
@@ -493,10 +495,11 @@ def _order_with_width(g: Graph, w: int) -> Optional[list[int]]:
     return acc if rec(frozenset()) else None
 
 
-def _min_fill_order(g: Graph) -> tuple[list[int], int]:
-    """Greedy min-fill elimination order, with its width: the largest
-    neighbourhood a vertex has when it is eliminated. Repeatedly eliminate
-    the vertex whose neighbourhood misses the fewest edges, ties broken by
+def _min_fill_order(g: Graph) -> tuple[list[int], list[frozenset]]:
+    """Greedy min-fill elimination order, with its bags: the i-th bag is
+    the i-th vertex and its neighbourhood when it is eliminated, so the
+    width is the largest bag less one. Repeatedly eliminate the vertex
+    whose neighbourhood misses the fewest edges, ties broken by
     (fill, degree, id). Keys sit in a heap whose stale entries are skipped
     when popped. Eliminating v with neighbourhood N changes the
     neighbourhoods of N only; any other vertex w keeps its own, and its
@@ -517,7 +520,7 @@ def _min_fill_order(g: Graph) -> tuple[list[int], int]:
     heap = list(current.values())
     heapq.heapify(heap)
     order = []
-    width = 0
+    bags = []
     while heap:
         k = heapq.heappop(heap)
         v = k[2]
@@ -525,7 +528,7 @@ def _min_fill_order(g: Graph) -> tuple[list[int], int]:
             continue  # stale entry, or v already eliminated
         del current[v]
         nb = adj.pop(v)
-        width = max(width, len(nb))
+        bags.append(frozenset(nb | {v}))
         for a in nb:
             adj[a].discard(v)
         fill = [(a, b) for a, b in itertools.combinations(nb, 2) if b not in adj[a]]
@@ -541,7 +544,7 @@ def _min_fill_order(g: Graph) -> tuple[list[int], int]:
             if current[w] != k:
                 current[w] = k
                 heapq.heappush(heap, k)
-    return order, width
+    return order, bags
 
 
 def _degeneracy_lower_bound(g: Graph) -> int:
@@ -556,29 +559,33 @@ def _degeneracy_lower_bound(g: Graph) -> int:
 
 
 def _decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
+    """The decomposition of eliminating ``order``: simulates the
+    elimination to get the bags."""
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    pos = {v: i for i, v in enumerate(order)}
-    bags: dict[int, frozenset] = {}
-    for i, v in enumerate(order):
+    bags = []
+    for v in order:
         nb = adj.pop(v)
-        bags[i + 1] = frozenset({v} | nb)
+        bags.append(frozenset({v} | nb))
         for a in nb:
             adj[a].discard(v)
         for a, b in itertools.combinations(nb, 2):
             adj[a].add(b)
             adj[b].add(a)
+    return _decomposition_from_bags(g, order, bags)
+
+
+def _decomposition_from_bags(g: Graph, order: list[int], bags: list[frozenset]) -> TreeDecomposition:
+    """Node i + 1 holds bags[i], the bag of order[i] when it was eliminated;
+    its parent is the node of the first later vertex in that bag, or the
+    last node (the root) if there is none."""
     n = len(order)
+    pos = {v: i + 1 for i, v in enumerate(order)}
     parent: dict[int, Optional[int]] = {}
-    for i in range(1, n + 1):
-        v = order[i - 1]
-        later = [pos[w] + 1 for w in bags[i] if w != v]
-        if i == n:
-            parent[i] = None
-        elif later:
-            parent[i] = min(later)
-        else:
-            parent[i] = n
-    return TreeDecomposition(g, n, parent, bags)
+    for i in range(1, n):
+        later = [pos[w] for w in bags[i - 1] if w != order[i - 1]]
+        parent[i] = min(later) if later else n
+    parent[n] = None
+    return TreeDecomposition(g, n, parent, dict(enumerate(bags, 1)))
 
 
 # -- PACE-style file format ----------------------------------------------------

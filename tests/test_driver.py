@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +152,17 @@ class TestKernelize:
         run = kernelize(g, 1, provider, solve_linkage, on_step=lambda w, d: seen.append(len(d)))
         assert len(seen) == run.reduction_steps
         assert all(d >= 1 for d in seen)
+
+
+def test_scale_script_row_at_n_500():
+    # scripts/scale.py prints one markdown row per n; at n = 500 the run
+    # takes 2 steps and its largest oracle query has 198 vertices
+    script = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
+    out = subprocess.run([sys.executable, str(script), "500"], capture_output=True, text=True, check=True, timeout=120)
+    header, rule, row = out.stdout.splitlines()
+    assert header.startswith("| n | largest oracle query | reduction steps | oracle calls |")
+    cells = [c.strip().replace(",", "") for c in row.strip("|").split("|")]
+    n, query, steps, calls = map(int, cells[:4])
+    seconds, per_step = map(float, cells[4:])
+    assert (n, query, steps) == (500, 198, 2)
+    assert calls >= steps and seconds >= 0 and per_step >= 0

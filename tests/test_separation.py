@@ -6,8 +6,8 @@ import pytest
 from kpath_kernel import treedecomp
 from kpath_kernel.driver import kernelize
 from kpath_kernel.errors import InputError, NotApplicableError
-from kpath_kernel.generate import GeneratorSpec, generate
-from kpath_kernel.graphs import Graph, check_separation, induced_subgraph
+from kpath_kernel.generate import GeneratorSpec, _partial_k_tree, generate
+from kpath_kernel.graphs import Graph, check_separation, connected_components, induced_subgraph
 from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.modulator import modulator_kernelize
 from kpath_kernel.separation import (
@@ -190,6 +190,96 @@ class TestProviders:
         td = TreeDecomposition(g, 1, {1: None, 2: 1}, {1: {1, 2}, 2: {3}})
         with pytest.raises(InputError):
             DecompositionSeparationProvider(g, td=td)
+
+
+def partial_tree(n, eta, keep, seed):
+    g = Graph()
+    _partial_k_tree(g, random.Random(seed), n, eta, keep)
+    return g
+
+
+class CheckedProvider:
+    """A DecompositionSeparationProvider whose every answer is checked
+    against separation_from_decomposition on the first tree restricted to
+    the graph from scratch."""
+
+    def __init__(self, g0, provider=None):
+        self.inner = provider or DecompositionSeparationProvider(g0)
+        self.td0 = compute_decomposition(g0)
+        self.h, self.q = self.inner.h, self.inner.q
+        self.finds = 0
+
+    def find(self, g, k, p):
+        got = self.inner.find(g, k, p)
+        if g.n <= p:
+            assert got is None
+        else:
+            want = separation_from_decomposition(g, self.td0.restrict(g), p)
+            assert got == want and got.branch == want.branch
+            self.finds += 1
+        return got
+
+
+class TestStatefulProvider:
+    """The provider keeps live subtree counts between calls instead of
+    restricting its tree; it must answer what a fresh restriction would."""
+
+    def test_every_kernelize_step_matches_a_fresh_restriction(self):
+        rng = random.Random(20261020)
+        steps = finds = 0
+        cases = [(1, rng.randint(100, 400), rng.randint(1, 3)) for _ in range(24)]
+        cases += [(2, rng.randint(3200, 4500), 1) for _ in range(3)]
+        for eta, n, k in cases:
+            g = partial_tree(n, eta, rng.choice([0.5, 0.7, 0.9]), rng.randrange(2**32))
+            provider = CheckedProvider(g)
+            run = kernelize(g, k, provider, solve_linkage)
+            steps += run.reduction_steps
+            finds += provider.finds
+        assert steps >= 60 and finds >= steps
+
+    def test_random_deletions_match_a_fresh_restriction(self):
+        # any p and any deletions, not only the kernel's: every branch and a
+        # p that changes between calls
+        rng = random.Random(7)
+        branches = set()
+        for _ in range(60):
+            g0 = partial_tree(rng.randint(10, 120), rng.choice([1, 2]), rng.choice([0.5, 0.8]), rng.randrange(2**32))
+            provider = CheckedProvider(g0)
+            g = g0.copy()
+            while g.n > 1:
+                p = rng.randint(0, g.n - 1)
+                sep = provider.find(g, 2, p)
+                branches.add(sep.branch)
+                pool = sorted(sep.side_a - sep.side_b) or sorted(g.vertices)
+                g.delete_vertices(rng.sample(pool, rng.randint(1, len(pool))))
+        assert branches == {"whole-subtree", "adhesion-group"}
+
+    def test_a_provider_reused_for_a_second_run_starts_again(self):
+        rng = random.Random(11)
+        for _ in range(6):
+            g = partial_tree(rng.randint(150, 300), 1, 0.7, rng.randrange(2**32))
+            provider = CheckedProvider(g)
+            first = kernelize(g, 2, provider, solve_linkage)
+            second = kernelize(g, 2, provider, solve_linkage)
+            assert first.reduction_steps >= 1
+            assert first.to_json() == second.to_json()
+
+    def test_a_graph_that_lost_a_whole_component(self):
+        rng = random.Random(13)
+        seen = 0
+        for _ in range(20):
+            g0 = partial_tree(rng.randint(60, 200), 1, 0.6, rng.randrange(2**32))
+            comps = sorted(connected_components(g0, within=set(g0.vertices)), key=lambda c: (-len(c), min(c)))
+            if len(comps) < 2:
+                continue
+            provider = CheckedProvider(g0)
+            g = g0.copy()
+            for comp in comps[: rng.randint(1, len(comps) - 1)]:
+                provider.find(g, 2, rng.randint(0, g.n - 1))
+                g.delete_vertices(comp)
+                provider.find(g, 2, rng.randint(0, g.n - 1))
+                seen += 1
+        assert seen >= 20
 
 
 class TestDecompositionValidatedOnce:

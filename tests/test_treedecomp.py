@@ -16,6 +16,7 @@ from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.modulator import modulator_kernelize
 from kpath_kernel.separation import DecompositionSeparationProvider
 from kpath_kernel.treedecomp import (
+    DecompositionStats,
     TreeDecomposition,
     Violation,
     _decomposition_from_order,
@@ -27,6 +28,7 @@ from kpath_kernel.treedecomp import (
     lowest_heavy_node,
     make_connected,
     is_connected_decomposition,
+    measure,
     read_td,
     stats,
     validate,
@@ -241,6 +243,32 @@ class TestStats:
         td = TreeDecomposition(g, 1, {1: None}, {1: {1, 2}})
         with pytest.raises(InputError):
             stats(td)
+
+    def test_measure_matches_a_per_node_reference(self):
+        # the reference looks at every node's neighbours, so each tree edge
+        # is intersected twice; measure intersects it once
+        def naive(td):
+            width = max(len(b) for b in td.bags.values()) - 1
+            adhesion = degree = 0
+            for t in td.nodes:
+                nbs = td.children[t] + ([td.parent[t]] if td.parent[t] is not None else [])
+                adhs = {td.bags[t] & td.bags[nb] for nb in nbs}
+                adhesion = max([adhesion] + [len(a) for a in adhs])
+                degree = max(degree, len(adhs))
+            return (width, adhesion, degree)
+
+        rng = random.Random(20261020)
+        single = 0
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]))
+            td = worsened_decomposition(rng, g)
+            for tree in (td, binarize(td), make_connected(td)):
+                s = measure(tree)
+                assert (s.width, s.adhesion, s.adhesion_degree) == naive(tree)
+                single += len(tree.bags) == 1
+        lone = TreeDecomposition(path_graph(3), 1, {1: None}, {1: {1, 2, 3}})
+        assert measure(lone) == DecompositionStats(2, 0, 0)
+        assert single >= 10
 
 
 class TestMakeConnected:
@@ -875,10 +903,9 @@ class TestComputeDecomposition:
             g.add_vertex()  # an isolated vertex with the largest id
             graphs.append(g)
         for g in graphs:
-            order, width = _min_fill_order(g)
+            order, bags = _min_fill_order(g)
             assert order == naive_min_fill_order(g)
-            bags = _decomposition_from_order(g, order).bags.values()
-            assert width == max(len(b) for b in bags) - 1
+            assert dict(enumerate(bags, 1)) == _decomposition_from_order(g, order).bags
 
     def test_disconnected_graph(self):
         g = Graph.from_edges(range(1, 7), [(1, 2), (3, 4)])
