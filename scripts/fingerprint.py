@@ -17,7 +17,11 @@ decided once, in corpus order):
 - families: every `build_path_families` result, as its sorted
   `(repr(key), paths, truncated)` list (modulator corpora);
 - separations: every separation the provider returns, as
-  `(sorted side_a, sorted side_b, branch)` (the `kernelize` corpus).
+  `(sorted side_a, sorted side_b, branch)` (the `kernelize` corpus);
+- decompositions: every instance's starting tree, as its root, sorted
+  `(node, parent)` pairs and sorted `(node, sorted bag)` pairs: the
+  provider's tree on the `kernelize` corpus, the instance's
+  `core_decomposition` (None for an empty core) on the modulator corpora.
 
 Then the `SuiteConfig(count=60, mode="both", check_steps=True)` reports
 without `elapsed`, the same with `m_override=4` (each also hashed
@@ -65,8 +69,14 @@ def witness(sol) -> object:
     return None if sol is None else [list(p) for p in sol]
 
 
+def tree(td) -> object:
+    if td is None:
+        return None
+    return [td.root, sorted(td.parent.items()), sorted((t, sorted(b)) for t, b in td.bags.items())]
+
+
 def corpus(workload) -> dict:
-    runs, rounds, calls, families, seps = [], [], [], [], []
+    runs, rounds, calls, families, seps, trees = [], [], [], [], [], []
 
     def oracle(inst):
         sol = linkage.solve_linkage(inst)
@@ -94,9 +104,11 @@ def corpus(workload) -> dict:
             on_change = lambda g, d: deleted.append(sorted(d))  # noqa: E731
             if workload.kind == "modkernel":
                 inst = modulator.make_modulator_instance(case.graph, case.k, case.modulator, case.eta)
+                trees.append(tree(inst.core_decomposition))
                 run = modulator.modulator_kernelize(inst, oracle, m_override=workload.m_override, on_step=on_change)
             else:
                 provider = separation.DecompositionSeparationProvider(case.graph)
+                trees.append(tree(provider._td0))
                 run = driver.kernelize(case.graph, case.k, provider, oracle, on_step=on_change)
             runs.append(run.to_json())
             rounds.append(deleted)
@@ -110,6 +122,7 @@ def corpus(workload) -> dict:
         "round_count": sum(map(len, rounds)),
         "witnesses": digest(calls),
         "oracle_calls": len(calls),
+        "decompositions": digest(trees),
     }
     if workload.kind == "modkernel":
         out.update(families=digest(families), family_builds=len(families))

@@ -141,7 +141,7 @@ class Graph:
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """The subgraph on vertex set ``s`` with ids preserved."""
     keep = set(s)
-    unknown = keep - set(g.vertices)
+    unknown = keep.difference(g._adj)  # one lookup per element of s
     if unknown:
         raise InputError(f"unknown vertices {sorted(unknown)}")
     sub = Graph()
@@ -153,7 +153,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 def open_neighborhood(g: Graph, s: Iterable[int]) -> set[int]:
     """All vertices outside ``s`` adjacent to some vertex of ``s``."""
     inside = set(s)
-    unknown = inside - set(g.vertices)
+    unknown = inside.difference(g._adj)  # one lookup per element of s
     if unknown:
         raise InputError(f"unknown vertices {sorted(unknown)}")
     out: set[int] = set()

@@ -39,22 +39,20 @@ class _SubtreeCounts:
 
     def __init__(self, td: TreeDecomposition):
         self.td = td
-        post = td.postorder()
-        # parents come first, so a vertex's first holder is its top holder
-        self.holders: dict[int, list[int]] = {}
-        for t in reversed(post):
-            for v in td.bags[t]:
-                self.holders.setdefault(v, []).append(t)
+        # holders come in preorder, so a vertex's first holder is its top
+        # holder; the index is the tree's own, shared and never changed
+        self.holders, self.adhesions = td.index()
         self.live = set(self.holders)
+        post = td.postorder()
         self.below = dict.fromkeys(post, 0)
         for hs in self.holders.values():
             self.below[hs[0]] += 1
-        self.adh = dict.fromkeys(post, 0)
         for t in post:
             p = td.parent[t]
             if p is not None:
                 self.below[p] += self.below[t]
-                self.adh[t] = len(td.bags[t] & td.bags[p])
+        self.adh = {t: len(a) for t, a in self.adhesions.items()}
+        self.adh[td.root] = 0
         self._p: Optional[int] = None
         self._at = 0
 
@@ -82,8 +80,9 @@ class _SubtreeCounts:
         self._at = i
         return post[i]
 
-    def bag(self, t: int) -> frozenset:
-        return self.td.bags[t] & self.live
+    def adhesion(self, t: int) -> frozenset:
+        """The live B_t ∩ B_parent(t) of a non-root node t."""
+        return self.adhesions[t] & self.live
 
     def union(self, tops: Iterable[int]) -> set:
         """The live vertices in the bags of the subtrees at ``tops``. A child
@@ -111,7 +110,7 @@ def _separation(g: Graph, counts: _SubtreeCounts, p: int) -> Separation:
     groups: dict[frozenset, list[int]] = {}
     for c in td.children[t0]:
         if adh[c]:
-            groups.setdefault(frozenset(counts.bag(c) & td.bags[t0]), []).append(c)
+            groups.setdefault(counts.adhesion(c), []).append(c)
         elif below[c]:  # an empty subtree adds no vertex to its group
             groups.setdefault(frozenset(), []).append(c)
     # a group's subtrees share only their adhesion s: Σ below + |s| vertices
@@ -123,7 +122,7 @@ def _separation(g: Graph, counts: _SubtreeCounts, p: int) -> Separation:
         a = counts.union([t0])
         b = set(g.vertices) - a
         if td.parent[t0] is not None:
-            b |= counts.bag(t0) & td.bags[td.parent[t0]]
+            b |= counts.adhesion(t0)
         sep = Separation(frozenset(a), frozenset(b), branch="whole-subtree")
     else:
         s, members = heavy[0]
@@ -206,7 +205,8 @@ class DecompositionSeparationProvider:
     restricted to whatever vertices survive. Width, adhesion and adhesion
     degree can only shrink under restriction, so the declared bounds hold
     for every later call. The decomposition, computed or supplied, is
-    validated once here by ``stats``.
+    validated once here by ``stats``; its validation, its measurement and
+    the counts below read the tree's one bag index.
 
     The provider keeps the tree's live subtree counts (``_SubtreeCounts``)
     between calls instead of restricting the tree: ``find`` deletes from

@@ -13,12 +13,19 @@ import copy
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError, NotApplicableError
 from .graphs import Graph, connected_components, parse_int, vertex_index
 
 NodeId = int
+
+
+class BagIndex(NamedTuple):
+    """Who holds what, read once off a tree's bags."""
+
+    holders: dict[int, list[NodeId]]  # vertex -> nodes whose bags hold it, in preorder
+    adhesions: dict[NodeId, frozenset]  # non-root t -> B_t ∩ B_parent(t)
 
 
 class TreeDecomposition:
@@ -69,6 +76,7 @@ class TreeDecomposition:
         self._depth = depth
         self._postorder = tuple(reversed(visits))
         self._rank = {t: i for i, t in enumerate(self._postorder)}
+        self._index: Optional[BagIndex] = None
 
     @property
     def nodes(self):
@@ -86,6 +94,22 @@ class TreeDecomposition:
         """Every node after its subtree, children in ascending order.
         Computed once, when the tree is checked; treat as read-only."""
         return self._postorder
+
+    def index(self) -> BagIndex:
+        """Every vertex's holders in preorder, so its top holder (the
+        shallowest) comes first, and every tree edge's adhesion set, each
+        intersected once. Built on first use and kept; ``validate``,
+        ``measure`` and the separation provider's counts all read it.
+        Treat as read-only."""
+        if self._index is None:
+            bags = self.bags
+            holders: dict[int, list[NodeId]] = {}
+            for t in reversed(self._postorder):
+                for v in bags[t]:
+                    holders.setdefault(v, []).append(t)
+            adhesions = {t: bags[t] & bags[p] for t, p in self.parent.items() if p is not None}
+            self._index = BagIndex(holders, adhesions)
+        return self._index
 
     def subtree_unions(self) -> dict[NodeId, frozenset]:
         """For every node, the union of bags in its subtree."""
@@ -107,11 +131,13 @@ class TreeDecomposition:
         """Intersect every bag with the vertices of ``host``, an induced
         subgraph of this decomposition's host: a decomposition of ``host``.
         The tree is the same, so its checked parent map, children, depths,
-        post-order and post-order rank are shared, not rebuilt."""
+        post-order and post-order rank are shared, not rebuilt; the bag
+        index is not."""
         ks = set(host.vertices)
         out = copy.copy(self)
         out.host = host
         out.bags = {t: b & ks for t, b in self.bags.items()}
+        out._index = None
         return out
 
     def lift_root(self) -> "TreeDecomposition":
@@ -128,6 +154,7 @@ class TreeDecomposition:
         out._depth[top] = 0
         out._postorder = self._postorder + (top,)
         out._rank = {**self._rank, top: len(self._postorder)}
+        out._index = None
         return out
 
     def lca(self, a: NodeId, b: NodeId) -> NodeId:
@@ -170,32 +197,27 @@ def validate(td: TreeDecomposition) -> ValidationReport:
     Every host vertex lies in some bag ("coverage"), every bag vertex lies
     in the host ("unknown-vertex"), every host edge lies in some bag
     ("edge-coverage"), and the nodes holding a vertex span a subtree
-    ("connectivity"). One holder index (vertex -> nodes whose bag holds it)
-    serves all four checks, so the cost is O(m + Σ|bag|) set operations
-    plus sorting the witnesses found."""
+    ("connectivity"). All four read the tree's one bag index (``index``),
+    so the cost is O(m + Σ|bag|) set operations plus sorting the
+    witnesses found."""
     g = td.host
+    holders, adhesions = td.index()
     out: list[Violation] = []
-    holders: dict[int, set[NodeId]] = {}
-    for t, b in td.bags.items():
-        for v in b:
-            holders.setdefault(v, set()).add(t)
     for v in sorted(g.vertices - holders.keys()):
         out.append(Violation("coverage", v))
     for v in sorted(holders.keys() - g.vertices):
         out.append(Violation("unknown-vertex", v))
-    nowhere: set[NodeId] = set()
-    uncovered = [e for e in g.edges() if holders.get(e[0], nowhere).isdisjoint(holders.get(e[1], nowhere))]
+    nowhere: list[NodeId] = []
+    uncovered = [e for e in g.edges() if set(holders.get(e[0], nowhere)).isdisjoint(holders.get(e[1], nowhere))]
     out.extend(Violation("edge-coverage", e) for e in sorted(uncovered))
     # the holders of v induce a forest in the tree; it is one subtree
     # exactly when it has |holders| - 1 edges
     inner_edges: dict[int, int] = dict.fromkeys(holders, 0)
-    for t, p in td.parent.items():
-        if p is not None:
-            for v in td.bags[t] & td.bags[p]:
-                inner_edges[v] += 1
-    for v in sorted(holders):
-        if inner_edges[v] != len(holders[v]) - 1:
-            out.append(Violation("connectivity", v))
+    for a in adhesions.values():
+        for v in a:
+            inner_edges[v] += 1
+    broken = [v for v, hs in holders.items() if inner_edges[v] != len(hs) - 1]
+    out.extend(Violation("connectivity", v) for v in sorted(broken))
     return ValidationReport(out)
 
 
@@ -209,17 +231,15 @@ def stats(td: TreeDecomposition) -> DecompositionStats:
 
 def measure(td: TreeDecomposition) -> DecompositionStats:
     """Width, adhesion and adhesion degree. ``td`` must be a valid
-    decomposition. Each tree edge's adhesion set is computed once and
-    counted at both its ends."""
+    decomposition. Each tree edge's adhesion set comes from the bag index
+    and is counted at both its ends."""
     width = max(len(b) for b in td.bags.values()) - 1
-    adhesion = 0
+    adhesions = td.index().adhesions
     adhs: dict[NodeId, set[frozenset]] = {t: set() for t in td.nodes}
-    for t, p in td.parent.items():
-        if p is not None:
-            a = td.bags[t] & td.bags[p]
-            adhs[t].add(a)
-            adhs[p].add(a)
-            adhesion = max(adhesion, len(a))
+    for t, a in adhesions.items():
+        adhs[t].add(a)
+        adhs[td.parent[t]].add(a)
+    adhesion = max(map(len, adhesions.values()), default=0)
     return DecompositionStats(width, adhesion, max(map(len, adhs.values())))
 
 
@@ -506,13 +526,24 @@ def _min_fill_order(g: Graph) -> tuple[list[int], list[frozenset]]:
     fill drops only where a new fill edge ab has both ends adjacent to w.
     So the keys to redo are N and the common neighbours of each fill edge
     added: at most Δ² + Δ keys at O(Δ²) each, where Δ is the largest degree
-    of the filled graph. The order costs O(n · (Δ⁴ + Δ² log n)), against
-    O(n² · Δ²) for rescanning every remaining vertex at every step."""
+    of the filled graph.
+
+    A simplicial v (fill 0: N is a clique, as on the pendant and leaf
+    vertices of a forest) adds no fill edge, and each w in N keeps
+    N − {w} among its neighbours: of the d_w − 1 pairs (v, x) that leave
+    w's neighbourhood, |N| − 1 were edges. Its key (f_w, d_w, w) becomes
+    (f_w − d_w + |N|, d_w − 1, w), read off the old key in O(1), so such a
+    step costs O(|N| log n) (Rose, Tarjan & Lueker 1976). A step with
+    fill costs O(Δ⁴ + Δ² log n), so the order costs at most
+    O(n · (Δ⁴ + Δ² log n)), against O(n² · Δ²) for rescanning every
+    remaining vertex at every step."""
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
 
     def key(v: int) -> tuple[int, int, int]:
         nb = adj[v]
         d = len(nb)
+        if d < 2:
+            return (0, d, v)
         inner = sum(len(adj[a] & nb) for a in nb) // 2
         return (d * (d - 1) // 2 - inner, d, v)
 
@@ -529,13 +560,21 @@ def _min_fill_order(g: Graph) -> tuple[list[int], list[frozenset]]:
         del current[v]
         nb = adj.pop(v)
         bags.append(frozenset(nb | {v}))
+        order.append(v)
         for a in nb:
             adj[a].discard(v)
+        if k[0] == 0:  # simplicial: no fill, and N's keys follow from their old ones
+            size = len(nb)
+            for w in nb:
+                f, d, _ = current[w]
+                k = (f - d + size, d - 1, w)
+                current[w] = k
+                heapq.heappush(heap, k)
+            continue
         fill = [(a, b) for a, b in itertools.combinations(nb, 2) if b not in adj[a]]
         for a, b in fill:
             adj[a].add(b)
             adj[b].add(a)
-        order.append(v)
         touched = set(nb)
         for a, b in fill:
             touched |= adj[a] & adj[b]

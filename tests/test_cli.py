@@ -287,6 +287,20 @@ class TestCli:
         assert main(["kernelize", "--graph", gfile, "--k", "2", "--td", tdfile]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
+    def test_kernelize_names_the_first_three_violations_of_a_td_file(self, workdir, capsys, tmp_path):
+        g = Graph.from_edges(range(1, 6), [(i, i + 1) for i in range(1, 5)])
+        gfile = write(tmp_path / "g.gr", write_graph_text(g))
+        # 5 lies in no bag, 9 is no vertex, three edges lie in no bag and
+        # the holders of 1 are not adjacent
+        tdfile = write(tmp_path / "bad.td", "s td 3 3 5\nb 1 1 2 9\nb 2 3\nb 3 1 4\n1 2\n2 3\n")
+        assert main(["kernelize", "--graph", gfile, "--k", "2", "--td", tdfile]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError",
+            "detail": "invalid decomposition: [Violation(axiom='coverage', witness=5), "
+            "Violation(axiom='unknown-vertex', witness=9), "
+            "Violation(axiom='edge-coverage', witness=(2, 3))]",
+        }
+
     def test_modkernel_rejects_malformed_modulator(self, workdir, capsys, tmp_path):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
         gfile = write(tmp_path / "g.gr", write_graph_text(g))

@@ -134,6 +134,16 @@ class TestInducedSubgraph:
             induced_subgraph(path_graph(3), {1, 9})
 
 
+class TestUnknownVertices:
+    @pytest.mark.parametrize("fn", [induced_subgraph, open_neighborhood])
+    def test_reported_sorted(self, fn):
+        g = path_graph(40)
+        g.delete_vertex(7)  # a deleted id is unknown too
+        with pytest.raises(InputError) as err:
+            fn(g, iter([12, 41, 1, 7, 99, 3]))
+        assert str(err.value) == "unknown vertices [7, 41, 99]"
+
+
 class TestNeighborhoods:
     def test_path_middle(self):
         assert open_neighborhood(path_graph(3), {2}) == {1, 3}

@@ -10,7 +10,7 @@ import kpath_kernel.separation as separation_mod
 import kpath_kernel.treedecomp as treedecomp_mod
 from kpath_kernel.driver import kernelize
 from kpath_kernel.errors import InputError, NotApplicableError
-from kpath_kernel.generate import GeneratorSpec, generate
+from kpath_kernel.generate import GeneratorSpec, _partial_k_tree, generate
 from kpath_kernel.graphs import Graph, induced_subgraph
 from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.modulator import modulator_kernelize
@@ -83,9 +83,10 @@ def naive_axiom_check(td):
     return True
 
 
-def naive_min_fill_order(g):
+def naive_min_fill_order(g, fills=None):
     """Reference min-fill: rescan every remaining vertex at every step and
-    take the least (fill, degree, id)."""
+    take the least (fill, degree, id). Each step's fill goes to ``fills``
+    when a list is given."""
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
 
     def key(v):
@@ -96,6 +97,8 @@ def naive_min_fill_order(g):
     order = []
     while adj:
         v = min(adj, key=key)
+        if fills is not None:
+            fills.append(key(v)[0])
         nb = adj.pop(v)
         for a in nb:
             adj[a].discard(v)
@@ -104,6 +107,19 @@ def naive_min_fill_order(g):
             adj[b].add(a)
         order.append(v)
     return order
+
+
+def naive_measure(td):
+    """(width, adhesion, adhesion degree) from every node's neighbours, so
+    each tree edge is intersected twice and no index is used."""
+    width = max(len(b) for b in td.bags.values()) - 1
+    adhesion = degree = 0
+    for t in td.nodes:
+        nbs = td.children[t] + ([td.parent[t]] if td.parent[t] is not None else [])
+        adhs = {td.bags[t] & td.bags[nb] for nb in nbs}
+        adhesion = max([adhesion] + [len(a) for a in adhs])
+        degree = max(degree, len(adhs))
+    return (width, adhesion, degree)
 
 
 def disjoint_union(*graphs):
@@ -194,6 +210,23 @@ class TestValidate:
         with pytest.raises(InputError):
             stats(td)
 
+    def test_connectivity_violations_come_sorted(self):
+        # the path decomposition of a 7-vertex path, rooted at its far end,
+        # with 4 and 7 added below their holders and 2 above its holders:
+        # 4 and 7 first turn up at the root, 2 last, and all three are
+        # reported in id order
+        g = path_graph(7)
+        parent = {i: i + 1 for i in range(1, 6)} | {6: None}
+        bags = {i: {i, i + 1} for i in range(1, 7)}
+        bags[1].add(7)
+        bags[5].add(2)
+        bags[6].add(4)
+        td = TreeDecomposition(g, 6, parent, bags)
+        first_seen = [v for v in td.index().holders if v in (2, 4, 7)]
+        assert first_seen != sorted(first_seen)
+        assert validate(td).violations == [Violation("connectivity", v) for v in (2, 4, 7)]
+        assert not naive_axiom_check(td)
+
     def test_matches_naive_checker_on_mutants(self):
         rng = random.Random(42)
         for _ in range(60):
@@ -245,18 +278,6 @@ class TestStats:
             stats(td)
 
     def test_measure_matches_a_per_node_reference(self):
-        # the reference looks at every node's neighbours, so each tree edge
-        # is intersected twice; measure intersects it once
-        def naive(td):
-            width = max(len(b) for b in td.bags.values()) - 1
-            adhesion = degree = 0
-            for t in td.nodes:
-                nbs = td.children[t] + ([td.parent[t]] if td.parent[t] is not None else [])
-                adhs = {td.bags[t] & td.bags[nb] for nb in nbs}
-                adhesion = max([adhesion] + [len(a) for a in adhs])
-                degree = max(degree, len(adhs))
-            return (width, adhesion, degree)
-
         rng = random.Random(20261020)
         single = 0
         for _ in range(120):
@@ -264,11 +285,92 @@ class TestStats:
             td = worsened_decomposition(rng, g)
             for tree in (td, binarize(td), make_connected(td)):
                 s = measure(tree)
-                assert (s.width, s.adhesion, s.adhesion_degree) == naive(tree)
+                assert (s.width, s.adhesion, s.adhesion_degree) == naive_measure(tree)
                 single += len(tree.bags) == 1
         lone = TreeDecomposition(path_graph(3), 1, {1: None}, {1: {1, 2, 3}})
         assert measure(lone) == DecompositionStats(2, 0, 0)
         assert single >= 10
+
+
+def naive_index(td):
+    """Holders in the order of a preorder (the reversed post-order) and
+    every tree edge's adhesion, straight from the bags."""
+    pre = list(reversed(td.postorder()))
+    held = set().union(*td.bags.values())
+    holders = {v: [t for t in pre if v in td.bags[t]] for v in held}
+    adhesions = {t: td.bags[t] & td.bags[p] for t, p in td.parent.items() if p is not None}
+    return holders, adhesions
+
+
+def indexed_trees(rng):
+    """Computed, worsened, binarized and lifted decompositions of random
+    graphs and partial k-trees."""
+    for i in range(48):
+        if i % 3:
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]))
+        else:
+            g = Graph()
+            _partial_k_tree(g, rng, rng.randint(31, 120), rng.randint(1, 3), rng.choice([0.5, 0.8]))
+        worse = worsened_decomposition(rng, g)
+        yield from (compute_decomposition(g), worse, binarize(worse), worse.lift_root(), binarize(worse).lift_root())
+
+
+class TestSharedBagIndex:
+    """``validate``, ``measure`` and the provider's counts read one bag
+    index per tree; a copy made by ``restrict`` or ``lift_root`` builds its
+    own."""
+
+    def test_provider_matches_stats_and_fresh_counts(self):
+        trees = 0
+        for td in indexed_trees(random.Random(20261021)):
+            provider = DecompositionSeparationProvider(td.host, td)
+            s = stats(td)
+            assert (s.width, s.adhesion, s.adhesion_degree) == naive_measure(td)
+            assert (provider.h, provider.width_bound, provider.degree_bound) == (
+                s.adhesion,
+                s.width + 1,
+                max(s.adhesion_degree, 2),
+            )
+            assert tuple(td.index()) == naive_index(td)
+            counts = provider._counts
+            fresh = separation_mod._SubtreeCounts(TreeDecomposition(td.host, td.root, td.parent, td.bags))
+            assert (counts.holders, counts.adh, counts.below, counts.live) == (
+                fresh.holders,
+                fresh.adh,
+                fresh.below,
+                fresh.live,
+            )
+            unions = td.subtree_unions()
+            assert all(counts.below[t] + counts.adh[t] == len(unions[t]) for t in td.nodes)
+            trees += 1
+        assert trees == 240
+
+    def test_copies_do_not_reuse_a_stale_index(self):
+        rng = random.Random(5)
+        for td in indexed_trees(rng):
+            before = naive_index(td)
+            td.index()
+            g = td.host
+            keep = rng.sample(sorted(g.vertices), rng.randint(1, g.n))
+            for copy in (td.restrict(induced_subgraph(g, keep)), td.lift_root()):
+                assert tuple(copy.index()) == naive_index(copy)
+                s = stats(copy)
+                assert (s.width, s.adhesion, s.adhesion_degree) == naive_measure(copy)
+            assert tuple(td.index()) == before
+
+    def test_an_invalid_supplied_tree_names_its_first_three_violations(self):
+        # 5 is in no bag, 9 is no vertex, (2, 3), (3, 4) and (4, 5) lie in
+        # no bag, and the holders of 1 are not adjacent
+        g = path_graph(5)
+        td = TreeDecomposition(g, 1, {1: None, 2: 1, 3: 2}, {1: {1, 2, 9}, 2: {3}, 3: {1, 4}})
+        assert len(validate(td).violations) == 6
+        with pytest.raises(InputError) as err:
+            DecompositionSeparationProvider(g, td)
+        assert str(err.value) == (
+            "invalid decomposition: [Violation(axiom='coverage', witness=5), "
+            "Violation(axiom='unknown-vertex', witness=9), "
+            "Violation(axiom='edge-coverage', witness=(2, 3))]"
+        )
 
 
 class TestMakeConnected:
@@ -902,10 +1004,30 @@ class TestComputeDecomposition:
             g = random_graph(rng, rng.randint(1, 25), rng.choice([0.1, 0.2, 0.4, 0.7]))
             g.add_vertex()  # an isolated vertex with the largest id
             graphs.append(g)
+        # partial k-trees, where most steps eliminate a simplicial vertex
+        for _ in range(24):
+            g = Graph()
+            _partial_k_tree(g, rng, rng.randint(1, 200), rng.randint(1, 4), rng.choice([0.5, 0.7, 0.9]))
+            graphs.append(g)
+        # sparse graphs with pendant trees: steps with fill turn neighbours
+        # simplicial, so fill-0 and fill > 0 steps alternate
+        for _ in range(24):
+            g = random_graph(rng, rng.randint(8, 40), 0.12)
+            for _ in range(rng.randint(0, 20)):
+                anchor = rng.choice(sorted(g.vertices))
+                g.add_edge(g.add_vertex(), anchor)
+            graphs.append(g)
+        simplicial = with_fill = alternations = 0
         for g in graphs:
+            fills = []
             order, bags = _min_fill_order(g)
-            assert order == naive_min_fill_order(g)
+            assert order == naive_min_fill_order(g, fills)
             assert dict(enumerate(bags, 1)) == _decomposition_from_order(g, order).bags
+            simplicial += fills.count(0)
+            with_fill += len(fills) - fills.count(0)
+            alternations += sum(1 for a, b in zip(fills, fills[1:]) if a > 0 and b == 0)
+        assert simplicial > 4 * with_fill > 0
+        assert alternations >= 300
 
     def test_disconnected_graph(self):
         g = Graph.from_edges(range(1, 7), [(1, 2), (3, 4)])
