@@ -17,7 +17,10 @@ decided once, in corpus order):
 - families: every `build_path_families` result, as its sorted
   `(repr(key), paths, truncated)` list (modulator corpora);
 - separations: every separation the provider returns, as
-  `(sorted side_a, sorted side_b, branch)` (the `kernelize` corpus);
+  `(sorted region ∪ cut, sorted V∖region, branch)` with V the vertices of
+  the graph `find` was given (the `kernelize` corpus). These are its sides
+  A and B, so the hash is the one taken when a `Separation` held
+  `(side_a, side_b)`;
 - decompositions: every instance's starting tree, as its root, sorted
   `(node, parent)` pairs and sorted `(node, sorted bag)` pairs: the
   provider's tree on the `kernelize` corpus, the instance's
@@ -90,10 +93,10 @@ def corpus(workload) -> dict:
         families.append(sorted((repr(key), paths, fam.truncated[key]) for key, paths in fam.families.items()))
         return fam
 
-    def recorded_find(self, *args, **kwargs):
-        found = find(self, *args, **kwargs)
+    def recorded_find(self, g, *args, **kwargs):
+        found = find(self, g, *args, **kwargs)
         if isinstance(found, Separation):
-            seps.append((sorted(found.side_a), sorted(found.side_b), found.branch))
+            seps.append((sorted(found.region | found.cut), sorted(g.vertices - found.region), found.branch))
         return found
 
     modulator.build_path_families = recorded_build

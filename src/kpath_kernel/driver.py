@@ -1,7 +1,7 @@
 """The generic oracle-driven kernel loop.
 
 While the graph is larger than the reduction threshold, ask a separation
-provider for a bounded-order separation, reduce its far side with the
+provider for a bounded-order separation, reduce its region with the
 oracle, repeat; a single oracle call on the small remainder answers the
 k-path question. Every call and every claimed bound is recorded.
 """
@@ -72,8 +72,9 @@ def kernelize(
     """Decide whether g has a k-path using bounded oracle queries.
 
     The provider is asked for separations with threshold p + h so that the
-    far side A = A'∖B' still exceeds the reduction-rule threshold after the
-    cut vertices are set aside. Its guard is N(A), always valid. When the
+    region A = A'∖B' still exceeds the reduction-rule threshold after its
+    cut A'∩B' is set aside. A separation is valid when N(A) lies in its
+    cut, so N(A) is the region's boundary and guard. When the
     provider cannot help (or hands back something coarser than its declared
     order) the run falls back to one oracle call on the whole remaining
     graph: the answer stays exact, only the size-bound claim lapses.
@@ -103,7 +104,7 @@ def kernelize(
         if found is None:
             unverified = True
             break
-        if not isinstance(found, Separation) or not check_separation(work, found.side_a, found.side_b):
+        if not isinstance(found, Separation) or not check_separation(work, found):
             raise ProtocolError("provider returned an invalid separation")
         sep = found
         if sep.order > h:
@@ -113,11 +114,9 @@ def kernelize(
                 unverified = True
                 break
             sep = alt
-        if len(sep.side_a) <= p_ask:
+        if len(sep.region) + sep.order <= p_ask:
             raise ProtocolError("provider returned an undersized separation")
-        gr = make_guarded_region(work, sep.side_a - sep.side_b, k)
-        if not gr.boundary <= sep.cut():
-            raise ProtocolError("separation does not enclose the region")
+        gr = make_guarded_region(work, sep.region, k)
         before = stats.calls
         _, deleted = apply_reduction(work, gr, solver)
         steps += 1

@@ -169,28 +169,28 @@ def closed_neighborhood(g: Graph, s: Iterable[int]) -> set[int]:
 
 @dataclass(frozen=True)
 class Separation:
-    """A separation (A, B): A∪B covers the graph and no edge crosses
-    A∖B to B∖A. ``branch`` records which construction produced it."""
+    """A separation (A, B) held as its region A∖B and its cut A∩B. B is
+    every other vertex of the graph, so A∪B covers the graph by
+    construction, and no edge may leave the region except into the cut.
+    ``branch`` records which construction produced it."""
 
-    side_a: frozenset
-    side_b: frozenset
+    region: frozenset
+    cut: frozenset
     branch: Optional[str] = field(default=None, compare=False)
 
     @property
     def order(self) -> int:
-        return len(self.side_a & self.side_b)
-
-    def cut(self) -> frozenset:
-        return self.side_a & self.side_b
+        return len(self.cut)
 
 
-def check_separation(g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    """Total predicate: is (a, b) a separation of g?"""
-    sa, sb = set(a), set(b)
-    if sa | sb != set(g.vertices):
+def check_separation(g: Graph, sep: Separation) -> bool:
+    """Total predicate: is ``sep`` a separation of g? Its region and cut
+    are disjoint sets of g's vertices and N(region) ⊆ cut. False for an id
+    g lacks. O(|region| + |cut| + the edges at region)."""
+    region, cut = frozenset(sep.region), frozenset(sep.cut)
+    if not region.isdisjoint(cut) or region.difference(g._adj) or cut.difference(g._adj):
         return False
-    only_b = sb - sa
-    return all(g.neighbors(v).isdisjoint(only_b) for v in sa - sb)
+    return open_neighborhood(g, region) <= cut
 
 
 def is_simple_path(g: Graph, p: Iterable[int]) -> bool:

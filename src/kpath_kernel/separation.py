@@ -1,10 +1,12 @@
 """Producing reducible separations.
 
 A separation provider, given the current graph and a size threshold p,
-returns a separation of bounded order whose left side has more than p
-vertices (but not too many), claims the graph has a k-path, or reports
-that it cannot help. One provider reads separations off a tree
-decomposition, the other finds them by exhaustive separator search.
+returns a separation (A, B) of bounded order, given as its region A∖B and
+its cut A∩B, with more than p vertices in A (but not too many), claims the
+graph has a k-path, or reports that it cannot help. B is every vertex
+outside the region, so no provider builds it. One provider reads
+separations off a tree decomposition, the other finds them by exhaustive
+separator search.
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ def _separation(g: Graph, counts: _SubtreeCounts, p: int) -> Separation:
         raise NotApplicableError(f"|V| = {g.n} <= p = {p}")
     td = counts.td
     if len(td.bags) == 1:
-        vs = frozenset(g.vertices)
-        return Separation(vs, vs, branch="degenerate-single-bag")
+        return Separation(frozenset(), frozenset(g.vertices), branch="degenerate-single-bag")
     t0 = counts.first_over(p)
     below, adh = counts.below, counts.adh
     groups: dict[frozenset, list[int]] = {}
@@ -117,13 +118,10 @@ def _separation(g: Graph, counts: _SubtreeCounts, p: int) -> Separation:
     ordered = sorted(groups.items(), key=lambda kv: sorted(kv[0]))
     heavy = [(s, cs) for s, cs in ordered if sum(below[c] for c in cs) + len(s) > p]
     if not heavy:
-        # the bags outside the subtree cover V - A and, by connectivity, meet
-        # A only in the adhesion to t0's parent
-        a = counts.union([t0])
-        b = set(g.vertices) - a
-        if td.parent[t0] is not None:
-            b |= counts.adhesion(t0)
-        sep = Separation(frozenset(a), frozenset(b), branch="whole-subtree")
+        # the bags outside the subtree cover the rest and, by connectivity,
+        # meet it only in the adhesion to t0's parent
+        cut = counts.adhesion(t0) if td.parent[t0] is not None else frozenset()
+        sep = Separation(frozenset(counts.union([t0]) - cut), cut, branch="whole-subtree")
     else:
         s, members = heavy[0]
         # children come in ascending order and share adh = |s|, so this
@@ -135,25 +133,26 @@ def _separation(g: Graph, counts: _SubtreeCounts, p: int) -> Separation:
             if size > p:
                 break
         acc = counts.union(members[:taken])
-        # B is the rest and its neighbours in A: the vertices of A with a
-        # neighbour outside it
-        b = (set(g.vertices) - acc) | {v for v in acc if not g.neighbors(v) <= acc}
-        sep = Separation(frozenset(acc), frozenset(b), branch="adhesion-group")
-        assert sep.cut() <= s
-    assert check_separation(g, sep.side_a, sep.side_b)
-    assert len(sep.side_a) > p
+        # the cut is the vertices of acc with a neighbour outside it
+        cut = frozenset(v for v in acc if not g.neighbors(v) <= acc)
+        sep = Separation(frozenset(acc - cut), cut, branch="adhesion-group")
+        assert sep.cut <= s
+    assert check_separation(g, sep)
+    assert len(sep.region) + sep.order > p
     return sep
 
 
 def separation_from_decomposition(g: Graph, td: TreeDecomposition, p: int) -> Separation:
     """Find a separation of order at most the decomposition's adhesion with
-    p < |A| <= width+1 + p * max(adhesion_degree, 2).
+    p < |region| + order <= width+1 + p * max(adhesion_degree, 2).
 
     Walks to the lowest node whose subtree bags exceed p vertices. If every
-    group of equal-adhesion children stays below p, the whole subtree is the
-    left side; otherwise children of one heavy group are accumulated
-    (smallest subtree first) until just past p. Subtree sizes are counted
-    (``_SubtreeCounts``); vertex sets are built only for the chosen side.
+    group of equal-adhesion children stays below p, the whole subtree is
+    taken: its cut is the adhesion to its parent, its region the rest of
+    it. Otherwise children of one heavy group are accumulated (smallest
+    subtree first) until just past p; their cut is the vertices with a
+    neighbour outside them. Subtree sizes are counted (``_SubtreeCounts``);
+    vertex sets are built only for the subtrees taken.
 
     Precondition: ``td`` must be a valid decomposition of ``g`` (see
     ``stats``).
@@ -165,8 +164,8 @@ def trivial_separation_oracle(
     g: Graph, h: int, p: int, q_cap: int, subset_budget: int = 2_000_000
 ) -> Optional[Separation]:
     """Exhaustive fallback: try every separator of size at most h and a
-    subset-sum over the component sizes of the rest to assemble a left side
-    with p < |A| <= q_cap. None when no candidate works."""
+    subset-sum over the component sizes of the rest to assemble a region
+    with p < |region| + |cut| <= q_cap. None when no candidate works."""
     if h < 0 or p < 0:
         raise InputError("need h >= 0 and p >= 0")
     for cs in small_separators(g, h, subset_budget):
@@ -191,12 +190,9 @@ def trivial_separation_oracle(
 
 
 def _assemble(g: Graph, cut: set, comps: list[set], picks: tuple[int, ...]) -> Separation:
-    a = set(cut)
-    for i in picks:
-        a |= comps[i]
-    b = (set(g.vertices) - a) | set(cut)
-    sep = Separation(frozenset(a), frozenset(b), branch="trivial-knapsack")
-    assert check_separation(g, sep.side_a, sep.side_b)
+    region = frozenset().union(*(comps[i] for i in picks))
+    sep = Separation(region, frozenset(cut), branch="trivial-knapsack")
+    assert check_separation(g, sep)
     return sep
 
 

@@ -170,7 +170,7 @@ def test_criterion_5_separation_contract():
         sep = separation_from_decomposition(g, td, p)
         w = s.width + 1
         a = max(s.adhesion_degree, 2)
-        if not (sep.order <= s.adhesion and p < len(sep.side_a) <= w + p * a):
+        if not (sep.order <= s.adhesion and p < len(sep.region) + sep.order <= w + p * a):
             violations += 1
         produced += 1
     elapsed = time.monotonic() - started

@@ -4,7 +4,7 @@ enumerate the whole space without any of the implementation's shortcuts."""
 import itertools
 import random
 
-from kpath_kernel.graphs import Graph, check_separation, connected_components
+from kpath_kernel.graphs import Graph, Separation, check_separation, connected_components
 from kpath_kernel.linkage import solve_linkage
 from kpath_kernel.separation import trivial_separation_oracle
 from kpath_kernel.treedecomp import compute_decomposition, stats
@@ -53,8 +53,8 @@ def naive_separation_exists(g, h, p, q_cap):
                 for i, comp in enumerate(comps):
                     if mask >> i & 1:
                         a |= comp
-                b = (set(verts) - a) | set(cut)
-                if check_separation(g, a, b) and p < len(a) <= q_cap:
+                sep = Separation(frozenset(a - set(cut)), frozenset(cut))
+                if check_separation(g, sep) and p < len(a) <= q_cap:
                     return True
     return False
 
@@ -82,7 +82,7 @@ class TestTrivialOracleCompleteness:
             exists = naive_separation_exists(g, h, p, q_cap)
             assert (sep is not None) == exists
             if sep is not None:
-                assert sep.order <= h and p < len(sep.side_a) <= q_cap
+                assert sep.order <= h and p < len(sep.region) + sep.order <= q_cap
 
 
 class TestDriverFuzz:

@@ -59,15 +59,23 @@ class TestKernelize:
 
     def test_invalid_separation_is_a_protocol_error(self):
         g = Graph.from_edges(range(1, 40), [(1, 2)])
-        bogus = Separation(frozenset({1}), frozenset({2}))
-        with pytest.raises(ProtocolError):
-            kernelize(g, 2, FakeProvider(bogus, h=0), solve_linkage)
+        big = frozenset(range(3, 21))  # 18 isolated vertices, more than p + h
+        bogus = [
+            Separation(frozenset({1}), frozenset()),  # N({1}) = {2}, not cut
+            Separation(big | {40}, frozenset()),  # 40 is not in g
+            Separation(big, frozenset({3})),  # region meets its cut
+            Separation(big | {1}, frozenset()),  # 2 is a neighbour outside the cut
+        ]
+        for sep in bogus:
+            steps = []
+            with pytest.raises(ProtocolError, match="invalid separation"):
+                kernelize(g, 2, FakeProvider(sep, h=0), solve_linkage, on_step=lambda w, d: steps.append(d))
+            assert steps == []  # rejected at the first answer, before any reduction
 
     def test_undersized_separation_is_a_protocol_error(self):
         g = Graph.from_edges(range(1, 40))
-        vs = frozenset(g.vertices)
-        small = Separation(frozenset({1}), vs)
-        with pytest.raises(ProtocolError):
+        small = Separation(frozenset({1}), frozenset())
+        with pytest.raises(ProtocolError, match="undersized"):
             kernelize(g, 2, FakeProvider(small, h=0), solve_linkage)
 
     def test_each_region_is_guarded_by_its_full_boundary(self, monkeypatch):
@@ -112,7 +120,7 @@ class TestKernelize:
         # clique defeats the exhaustive fallback's tight window too
         g = Graph.from_edges(range(1, 15), list(itertools.combinations(range(1, 15), 2)))
         vs = frozenset(g.vertices)
-        coarse = Separation(vs, vs)
+        coarse = Separation(frozenset(), vs)
         run = kernelize(g, 1, FakeProvider(coarse, h=0, q_slack=1), solve_linkage)
         assert run.answer is True
         assert run.extras["bound_unverified"]

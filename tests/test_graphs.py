@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kpath_kernel.errors import InputError, NotApplicableError
 from kpath_kernel.graphs import (
     Graph,
+    Separation,
     brute_force_k_path,
     check_separation,
     closed_neighborhood,
@@ -161,24 +162,34 @@ class TestNeighborhoods:
         assert closed_neighborhood(g, {2}) == {1, 2, 3}
 
 
+def sep_of(a, b):
+    """The separation (a, b) as its region a∖b and its cut a∩b."""
+    return Separation(frozenset(a) - frozenset(b), frozenset(a) & frozenset(b))
+
+
 class TestCheckSeparation:
     def test_path_cut_vertex(self):
         g = path_graph(3)
-        assert check_separation(g, {1, 2}, {2, 3})
-        assert len({1, 2} & {2, 3}) == 1
+        sep = sep_of({1, 2}, {2, 3})
+        assert check_separation(g, sep)
+        assert sep.order == 1
 
     def test_triangle_crossing_edge(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-        assert not check_separation(g, {1, 2}, {3})
+        assert not check_separation(g, sep_of({1, 2}, {3}))
 
     def test_degenerate_full_overlap(self):
         g = path_graph(4)
         vs = set(g.vertices)
-        assert check_separation(g, vs, vs)
+        assert check_separation(g, sep_of(vs, vs))
 
     def test_union_must_cover(self):
+        # B is every vertex outside the region, so A ∪ B covers g by
+        # construction; it can only fail to be V(g) through an id g lacks
         g = path_graph(3)
-        assert not check_separation(g, {1}, {2})
+        assert not check_separation(g, Separation(frozenset({4}), frozenset()))
+        assert not check_separation(g, Separation(frozenset({1}), frozenset({2, 4})))
+        assert check_separation(g, Separation(frozenset({1}), frozenset({2})))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
@@ -188,7 +199,28 @@ class TestCheckSeparation:
         verts = sorted(g.vertices)
         a = {v for v in verts if rng.random() < 0.5}
         b = set(verts) - a | {v for v in a if rng.random() < 0.3}
-        assert check_separation(g, a, b) == check_separation(g, b, a)
+        sep = sep_of(a, b)
+        swapped = Separation(frozenset(verts) - sep.region - sep.cut, sep.cut)
+        assert check_separation(g, sep) == check_separation(g, swapped)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_the_two_sided_definition(self, seed):
+        # (A, B) with A ∪ B = V is a separation when no edge runs from A∖B
+        # to B∖A; written out here, independently of check_separation
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
+        verts = set(g.vertices)
+        a = {v for v in verts if rng.random() < 0.5}
+        b = verts - a | {v for v in a if rng.random() < 0.3}
+        crossing = any(g.has_edge(u, v) for u in a - b for v in b - a)
+        sep = sep_of(a, b)
+        assert check_separation(g, sep) == (not crossing)
+        stray = rng.choice([0, -1, max(verts) + 1, max(verts) + 7])  # ids g lacks
+        assert not check_separation(g, Separation(sep.region | {stray}, sep.cut))
+        assert not check_separation(g, Separation(sep.region, sep.cut | {stray}))
+        v = rng.choice(sorted(verts))
+        assert not check_separation(g, Separation(sep.region | {v}, sep.cut | {v}))
 
 
 class TestTraverses:

@@ -43,8 +43,8 @@ class TestSeparationFromDecomposition:
         sep = separation_from_decomposition(g, td, 2)
         s = stats(td)
         assert sep.order <= s.adhesion == 1
-        assert 2 < len(sep.side_a) <= 4
-        assert check_separation(g, sep.side_a, sep.side_b)
+        assert 2 < len(sep.region) + sep.order <= 4
+        assert check_separation(g, sep)
 
     def test_star_uses_the_adhesion_group_branch(self):
         g = Graph.from_edges(range(1, 7), [(1, i) for i in range(2, 7)])
@@ -53,14 +53,14 @@ class TestSeparationFromDecomposition:
         td = TreeDecomposition(g, 1, parent, bags)
         sep = separation_from_decomposition(g, td, 2)
         assert sep.branch == "adhesion-group"
-        assert 2 < len(sep.side_a) <= 2 * 2 + 1
-        assert sep.cut() <= frozenset({1})
+        assert 2 < len(sep.region) + sep.order <= 2 * 2 + 1
+        assert sep.cut <= frozenset({1})
 
     def test_single_bag_degenerate(self):
         g = path_graph(3)
         td = TreeDecomposition(g, 1, {1: None}, {1: set(g.vertices)})
         sep = separation_from_decomposition(g, td, 1)
-        assert sep.side_a == sep.side_b == frozenset(g.vertices)
+        assert sep.region == frozenset() and sep.cut == frozenset(g.vertices)
         assert sep.branch == "degenerate-single-bag"
 
     def test_not_applicable_when_graph_small(self):
@@ -82,9 +82,9 @@ class TestSeparationFromDecomposition:
             sep = separation_from_decomposition(g, td, p)
             a = max(s.adhesion_degree, 2)
             w = s.width + 1
-            assert check_separation(g, sep.side_a, sep.side_b)
+            assert check_separation(g, sep)
             assert sep.order <= s.adhesion
-            assert p < len(sep.side_a) <= w + p * a
+            assert p < len(sep.region) + sep.order <= w + p * a
             checked += 1
         assert checked > 150
 
@@ -112,8 +112,8 @@ class TestSeparationFromDecomposition:
                 t = stack.pop()
                 below.add(t)
                 stack.extend(td.children[t])
-            assert sep.side_a == unions[t0]
-            assert sep.side_b == td.bag_union(set(td.nodes) - below)
+            assert sep.region | sep.cut == unions[t0]
+            assert frozenset(g.vertices) - sep.region == td.bag_union(set(td.nodes) - below)
             seen += 1
         assert seen > 30
 
@@ -129,14 +129,14 @@ class TestTrivialSeparationOracle:
         )
         sep = trivial_separation_oracle(g, 1, 2, 4)
         assert sep is not None
-        assert sep.order == 1 and sep.cut() == frozenset({3})
-        assert len(sep.side_a) == 3
-        assert check_separation(g, sep.side_a, sep.side_b)
+        assert sep.order == 1 and sep.cut == frozenset({3})
+        assert len(sep.region) + sep.order == 3
+        assert check_separation(g, sep)
 
     def test_separator_alone_can_be_the_left_side(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (2, 3)])
         sep = trivial_separation_oracle(g, 2, 1, 3)
-        assert sep is not None and len(sep.side_a) > 1
+        assert sep is not None and len(sep.region) + sep.order > 1
 
     def test_finds_whenever_the_decomposition_branch_finds(self):
         rng = random.Random(99)
@@ -149,10 +149,10 @@ class TestTrivialSeparationOracle:
             p = rng.randint(1, g.n - 1)
             sep = separation_from_decomposition(g, td, p)
             q_cap = (s.width + 1) + p * max(s.adhesion_degree, 2)
-            if sep.order <= s.adhesion and len(sep.side_a) <= q_cap:
+            if sep.order <= s.adhesion and len(sep.region) + sep.order <= q_cap:
                 alt = trivial_separation_oracle(g, s.adhesion, p, q_cap)
                 assert alt is not None
-                assert alt.order <= s.adhesion and p < len(alt.side_a) <= q_cap
+                assert alt.order <= s.adhesion and p < len(alt.region) + alt.order <= q_cap
 
     def test_cap(self):
         g = Graph.from_edges(range(1, 40))
@@ -167,17 +167,17 @@ class TestProviders:
         sep = provider.find(g, 3, 4)
         assert sep is not None and sep.order <= provider.h
         g2 = g.copy()
-        g2.delete_vertices(list(sep.side_a - sep.side_b)[:2])
+        g2.delete_vertices(list(sep.region)[:2])
         sep2 = provider.find(g2, 3, 4)
         if sep2 is not None:
-            assert check_separation(g2, sep2.side_a, sep2.side_b)
+            assert check_separation(g2, sep2)
 
     def test_trivial_provider_window(self):
         g = path_graph(10)
         provider = TrivialSeparationProvider(h=1)
         sep = provider.find(g, 3, 3)
         assert sep is not None
-        assert 3 < len(sep.side_a) <= provider.q(3)
+        assert 3 < len(sep.region) + sep.order <= provider.q(3)
 
     def test_providers_report_none_when_too_small(self):
         g = path_graph(3)
@@ -250,7 +250,7 @@ class TestStatefulProvider:
                 p = rng.randint(0, g.n - 1)
                 sep = provider.find(g, 2, p)
                 branches.add(sep.branch)
-                pool = sorted(sep.side_a - sep.side_b) or sorted(g.vertices)
+                pool = sorted(sep.region) or sorted(g.vertices)
                 g.delete_vertices(rng.sample(pool, rng.randint(1, len(pool))))
         assert branches == {"whole-subtree", "adhesion-group"}
 
